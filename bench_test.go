@@ -24,14 +24,15 @@ func benchConfig() kite.Options {
 	return kite.Options{Nodes: 5, Workers: 4, SessionsPerWorker: 4, Capacity: 1 << 16}
 }
 
+func benchLoad(mix bench.Mix) bench.Load {
+	return bench.Load{Mix: mix, Keys: 1 << 16, Warmup: benchWarmup, Measure: benchMeasure}
+}
+
 func runKiteBench(b *testing.B, mix bench.Mix) {
 	b.Helper()
 	var last bench.Result
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunKite(bench.KiteOpts{
-			Options: benchConfig(), Mix: mix, Keys: 1 << 16,
-			Warmup: benchWarmup, Measure: benchMeasure,
-		})
+		res, err := bench.RunKite(bench.KiteOpts{Options: benchConfig(), Load: benchLoad(mix)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,8 +70,7 @@ func runZabBench(b *testing.B, writeRatio float64) {
 	for i := 0; i < b.N; i++ {
 		last = bench.RunZab(bench.ZabOpts{
 			Config:     zab.Config{Nodes: 5, Workers: 4, SessionsPerWorker: 4, KVSCapacity: 1 << 16},
-			WriteRatio: writeRatio, Keys: 1 << 16,
-			Warmup: benchWarmup, Measure: benchMeasure,
+			WriteRatio: writeRatio, Keys: 1 << 16, Warmup: benchWarmup, Measure: benchMeasure,
 		})
 	}
 	b.ReportMetric(last.Mreqs(), "mreqs")
@@ -143,12 +143,11 @@ func BenchmarkFig8_HML4(b *testing.B)      { runStructBench(b, bench.HMList, 4, 
 func BenchmarkFig9_FailureStudy(b *testing.B) {
 	var last bench.FailureOutcome
 	for i := 0; i < b.N; i++ {
+		l := benchLoad(bench.Mix{WriteRatio: 0.05, SyncFrac: 0.05})
+		l.Warmup, l.Measure = 150*time.Millisecond, 500*time.Millisecond
 		out, err := bench.RunFailureStudy(bench.FailureOpts{
-			Options:  benchConfig(),
-			Mix:      bench.Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-			Keys:     1 << 16,
-			SleepFor: 200 * time.Millisecond, Total: 500 * time.Millisecond,
-			SleepAt: 100 * time.Millisecond, SleepNode: 4,
+			Options: benchConfig(), Load: l, SleepNode: 4,
+			SleepAt: 100 * time.Millisecond, SleepFor: 200 * time.Millisecond,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -168,10 +167,8 @@ func BenchmarkAblationFastPathOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig()
 		cfg.DisableFastPath = true
-		res, err := bench.RunKite(bench.KiteOpts{
-			Options: cfg, Mix: bench.Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-			Keys: 1 << 16, Warmup: benchWarmup, Measure: benchMeasure,
-		})
+		res, err := bench.RunKite(bench.KiteOpts{Options: cfg,
+			Load: benchLoad(bench.Mix{WriteRatio: 0.05, SyncFrac: 0.05})})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -92,11 +92,11 @@ func main() {
 	// A report is written only for an explicitly selected figure: under
 	// -fig all the shard and recovery reports would overwrite each other
 	// at the same path.
-	reportPath := func() string {
-		if *fig == "all" {
-			return ""
+	report := func(rep any, err error) error {
+		if err != nil || *fig == "all" || *jsonPath == "" {
+			return err
 		}
-		return *jsonPath
+		return writeJSON(*jsonPath, rep)
 	}
 
 	run("5", func() error { return bench.Figure5(fc, nil) })
@@ -104,51 +104,18 @@ func main() {
 	run("7", func() error { return bench.Figure7(fc) })
 	run("8", func() error { return bench.Figure8(fc, *structs, 0) })
 	run("9", func() error { return bench.Figure9(fc, *sleepFor) })
-	run("recovery", func() error {
-		rep, err := bench.FigureRecovery(fc, *prefill)
-		if err != nil {
-			return err
-		}
-		return writeJSON(reportPath(), rep)
-	})
-	run("reconfig", func() error {
-		rep, err := bench.FigureReconfig(fc, *prefill)
-		if err != nil {
-			return err
-		}
-		return writeJSON(reportPath(), rep)
-	})
+	run("recovery", func() error { return report(bench.FigureRecovery(fc, *prefill)) })
+	run("reconfig", func() error { return report(bench.FigureReconfig(fc, *prefill)) })
 	run("timeout", func() error { return bench.AblationTimeout(fc, nil) })
 	run("fastpath", func() error { return bench.AblationFastPath(fc) })
-	run("shard", func() error {
-		rep, err := bench.FigureShard(fc, *shardTotal, nil)
-		if err != nil {
-			return err
-		}
-		return writeJSON(reportPath(), rep)
-	})
-	run("durability", func() error {
-		rep, err := bench.FigureDurability(fc)
-		if err != nil {
-			return err
-		}
-		return writeJSON(reportPath(), rep)
-	})
-	run("latency", func() error {
-		rep, err := bench.FigureLatency(fc)
-		if err != nil {
-			return err
-		}
-		return writeJSON(reportPath(), rep)
-	})
+	run("shard", func() error { return report(bench.FigureShard(fc, *shardTotal, nil)) })
+	run("durability", func() error { return report(bench.FigureDurability(fc)) })
+	run("latency", func() error { return report(bench.FigureLatency(fc)) })
 }
 
 // writeJSON writes a figure's machine-readable report (the BENCH_<n>.json
-// baseline format) when -json was given.
+// baseline format).
 func writeJSON(path string, rep any) error {
-	if path == "" {
-		return nil
-	}
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -1,218 +1,78 @@
 package bench
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"kite"
 	"kite/internal/derecho"
 	"kite/internal/zab"
 )
 
 // ZabOpts parameterises a ZAB baseline run (reads are local, writes are
-// leader-ordered; the Mix's sync and RMW fractions are meaningless here —
-// every ZAB write already has total-order semantics).
+// leader-ordered; sync and RMW fractions are meaningless here — every ZAB
+// write already has total-order semantics).
 type ZabOpts struct {
-	Name       string
 	Config     zab.Config
 	WriteRatio float64
 	Keys       uint64
-	ValLen     int
 	Window     int
 	Warmup     time.Duration
 	Measure    time.Duration
 }
 
-func (o *ZabOpts) defaults() {
-	if o.Keys == 0 {
-		o.Keys = 1 << 20
-	}
-	if o.ValLen == 0 {
-		o.ValLen = 32
-	}
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 100 * time.Millisecond
-	}
-	if o.Measure == 0 {
-		o.Measure = 500 * time.Millisecond
-	}
-}
-
 // RunZab measures the ZAB baseline under the given read/write mix.
 func RunZab(o ZabOpts) Result {
-	o.defaults()
+	l := Load{Mix: Mix{WriteRatio: o.WriteRatio}, Keys: o.Keys, Window: o.Window,
+		Warmup: o.Warmup, Measure: o.Measure}
+	l.defaults()
 	c := zab.NewCluster(o.Config)
 	defer c.Close()
-
-	var counting, stop atomic.Bool
-	stopCh := make(chan struct{})
-	var counted atomic.Uint64
-	var wg sync.WaitGroup
-	for n := 0; n < c.Nodes(); n++ {
+	var issuers []issuer
+	for n := range c.Nodes() {
 		nd := c.Node(n)
-		for si := 0; si < nd.Sessions(); si++ {
-			wg.Add(1)
-			go func(s *zab.Session, seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				val := make([]byte, o.ValLen)
-				rng.Read(val)
-				// slots carries write completions (as in driveSession):
-				// inflight = issued - completed, capped at Window.
-				slots := make(chan struct{}, o.Window)
-				inflight := 0
-				for {
-					if stop.Load() {
-						drainSlots(slots, inflight)
-						return
+		for si := range nd.Sessions() {
+			s := nd.Session(si)
+			issuers = append(issuers, issuer{
+				async: func(op kite.Op, cb func(kite.Result)) {
+					s.WriteAsync(op.Key, op.Value, func() { cb(kite.Result{}) })
+				},
+				local: func(op kite.Op) bool {
+					if op.Code != kite.OpRead {
+						return false
 					}
-					key := rng.Uint64() % o.Keys
-					if rng.Float64() < o.WriteRatio {
-						if inflight == o.Window {
-							// The baseline has no retransmission: a lost
-							// message strands its completion, so this wait
-							// must stay interruptible or an unlucky run
-							// wedges the harness.
-							select {
-							case <-slots:
-								inflight--
-							case <-stopCh:
-								continue // loop head drains and exits
-							}
-						}
-						s.WriteAsync(key, val, func() {
-							if counting.Load() {
-								counted.Add(1)
-							}
-							slots <- struct{}{}
-						})
-						inflight++
-					} else {
-						s.Read(key)
-						if counting.Load() {
-							counted.Add(1)
-						}
-					}
-				}
-			}(nd.Session(si), int64(n*1000+si))
+					s.Read(op.Key)
+					return true
+				},
+			})
 		}
 	}
-
-	time.Sleep(o.Warmup)
-	counting.Store(true)
-	start := time.Now()
-	time.Sleep(o.Measure)
-	counting.Store(false)
-	elapsed := time.Since(start)
-	stop.Store(true)
-	close(stopCh)
-	wg.Wait()
-	return Result{Name: o.Name, Ops: counted.Load(), Duration: elapsed}
-}
-
-// drainSlots waits briefly for outstanding async completions to return
-// their window tokens, so teardown does not race in-flight callbacks —
-// but bounded: the ZAB/Derecho baselines have no retransmission, so a
-// token stranded by a lost message must not hang the harness.
-func drainSlots(slots chan struct{}, inflight int) {
-	deadline := time.After(2 * time.Second)
-	for ; inflight > 0; inflight-- {
-		select {
-		case <-slots:
-		case <-deadline:
-			return
-		}
-	}
+	return throughput(issuers, l, extras{})
 }
 
 // DerechoOpts parameterises the Derecho-like SMR baseline (write-only sends,
 // matching §8.2's write-only study).
 type DerechoOpts struct {
-	Name    string
 	Config  derecho.Config
 	Keys    uint64
-	ValLen  int
 	Window  int
 	Warmup  time.Duration
 	Measure time.Duration
 }
 
-func (o *DerechoOpts) defaults() {
-	if o.Keys == 0 {
-		o.Keys = 1 << 20
-	}
-	if o.ValLen == 0 {
-		o.ValLen = 32
-	}
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 100 * time.Millisecond
-	}
-	if o.Measure == 0 {
-		o.Measure = 500 * time.Millisecond
-	}
-}
-
 // RunDerecho measures ordered or unordered atomic multicast throughput
 // (completed local sends per second across the deployment).
 func RunDerecho(o DerechoOpts) Result {
-	o.defaults()
+	l := Load{Mix: Mix{WriteRatio: 1}, Keys: o.Keys, Window: o.Window,
+		Warmup: o.Warmup, Measure: o.Measure}
+	l.defaults()
 	c := derecho.NewCluster(o.Config)
 	defer c.Close()
-
-	var counting, stop atomic.Bool
-	stopCh := make(chan struct{})
-	var counted atomic.Uint64
-	var wg sync.WaitGroup
-	for n := 0; n < o.Config.Nodes; n++ {
+	issuers := make([]issuer, o.Config.Nodes)
+	for n := range issuers {
 		nd := c.Node(n)
-		wg.Add(1)
-		go func(nd *derecho.Node, seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			val := make([]byte, o.ValLen)
-			rng.Read(val)
-			// See RunZab: completion tokens, interruptible waits.
-			slots := make(chan struct{}, o.Window)
-			inflight := 0
-			for {
-				if stop.Load() {
-					drainSlots(slots, inflight)
-					return
-				}
-				if inflight == o.Window {
-					select {
-					case <-slots:
-						inflight--
-					case <-stopCh:
-						continue
-					}
-				}
-				nd.Send(1+rng.Uint64()%o.Keys, val, func() {
-					if counting.Load() {
-						counted.Add(1)
-					}
-					slots <- struct{}{}
-				})
-				inflight++
-			}
-		}(nd, int64(n))
+		issuers[n] = issuer{async: func(op kite.Op, cb func(kite.Result)) {
+			nd.Send(1+op.Key, op.Value, func() { cb(kite.Result{}) })
+		}}
 	}
-
-	time.Sleep(o.Warmup)
-	counting.Store(true)
-	start := time.Now()
-	time.Sleep(o.Measure)
-	counting.Store(false)
-	elapsed := time.Since(start)
-	stop.Store(true)
-	close(stopCh)
-	wg.Wait()
-	return Result{Name: o.Name, Ops: counted.Load(), Duration: elapsed}
+	return throughput(issuers, l, extras{})
 }

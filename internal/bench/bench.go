@@ -1,13 +1,11 @@
 // Package bench is the measurement harness that regenerates every figure of
-// the paper's evaluation (§8): workload generators with the paper's mix
-// semantics, closed-loop windowed drivers over the asynchronous Kite API,
-// equivalent drivers for the ZAB and Derecho baselines, the lock-free data
-// structure workloads of §8.3, and the failure-study timeline of §8.4.
-//
-// The drivers speak the unified kite.Session interface, so the same
-// workload runs against an in-process cluster (the default) or any other
-// Session backend — pass remote client sessions via KiteOpts.Sessions to
-// load a real multi-process deployment.
+// the paper's evaluation (§8). It is built from four shared pieces: one load
+// spec (Load), one windowed closed-loop driver (drive) that every Kite, ZAB
+// and Derecho run goes through, one measurement window (measure), and one
+// sampled-timeline runner with scheduled actions (timeline) behind the
+// failure, recovery and reconfiguration studies. The lock-free data
+// structure workloads of §8.3 share the measurement window but drive their
+// structures synchronously.
 //
 // Workload mix semantics follow §8.1 exactly: the write ratio counts RMWs,
 // releases and relaxed writes; the synchronisation percentage applies to the
@@ -16,7 +14,11 @@
 package bench
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +33,7 @@ type Result struct {
 	Name     string
 	Ops      uint64
 	Duration time.Duration
-	// Extra carries per-class op counts for derived metrics.
+	// Extra carries the online auditor's coverage counters (audit_* keys).
 	Extra map[string]uint64
 }
 
@@ -54,17 +56,6 @@ type Mix struct {
 	SyncFrac   float64 // fraction of non-RMW accesses that synchronise
 	RMWFrac    float64 // fraction of all ops that are RMWs (subset of writes)
 }
-
-// opKind is a generated operation class.
-type opKind uint8
-
-const (
-	opRead opKind = iota
-	opWrite
-	opRelease
-	opAcquire
-	opFAA
-)
 
 // thresholds precomputes cumulative probabilities for the mix.
 type thresholds struct {
@@ -90,161 +81,313 @@ func (m Mix) thresholds() thresholds {
 	}
 }
 
-func (t thresholds) pick(r float64) opKind {
+func (t thresholds) pick(r float64) kite.OpCode {
 	switch {
 	case r < t.rmw:
-		return opFAA
+		return kite.OpFAA
 	case r < t.release:
-		return opRelease
+		return kite.OpRelease
 	case r < t.write:
-		return opWrite
+		return kite.OpWrite
 	case r < t.acquire:
-		return opAcquire
+		return kite.OpAcquire
 	default:
-		return opRead
+		return kite.OpRead
 	}
 }
 
-// DriverSession is one driven session plus the node index its completions
-// are attributed to.
-type DriverSession struct {
-	Node int
-	S    kite.Session
+// Load is the one load spec every study drives: Mix over a uniform range of
+// Keys value keys, Window outstanding operations per driven session, and a
+// Warmup before the Measure window. FAAs go to a counter range of the same
+// width disjoint from the value keys, [Keys, 2·Keys): a counter holds an
+// 8-byte integer, and an FAA on a written key would turn its value into
+// one that collides with other writers' (the audit's unique-values premise).
+type Load struct {
+	Mix     Mix
+	Keys    uint64 // value-key range (paper: 1M)
+	Window  int    // outstanding async ops per session
+	Warmup  time.Duration
+	Measure time.Duration // counted window; a timeline run's sampled span
+}
+
+func (l *Load) defaults() {
+	if l.Keys == 0 {
+		l.Keys = 1 << 20
+	}
+	if l.Window == 0 {
+		l.Window = 8
+	}
+	if l.Warmup == 0 {
+		l.Warmup = 100 * time.Millisecond
+	}
+	if l.Measure == 0 {
+		l.Measure = 500 * time.Millisecond
+	}
+}
+
+// valLen is the written value size (the paper's 32 B).
+const valLen = 32
+
+// drainLimit bounds a stopped driver's wait for its outstanding operations:
+// the ZAB and Derecho baselines have no retransmission, so a lost message
+// strands its completion and must not wedge the harness.
+const drainLimit = 2 * time.Second
+
+// issuer is how a driver starts operations. async starts one and calls cb
+// exactly once when it completes — the shape of kite.Session.DoAsync, so a
+// Kite session plugs in as itself and the ZAB and Derecho baselines through
+// a few-line adapter. local, when set, serves the operations it accepts
+// synchronously (ZAB's local reads) and reports whether it did: they take
+// no callback and no window slot, and are not timed.
+type issuer struct {
+	async func(op kite.Op, cb func(kite.Result))
+	local func(op kite.Op) bool
+}
+
+// completion is one finished operation as a driver's callback sees it.
+type completion struct {
+	code kite.OpCode
+	err  error
+	lat  time.Duration // issue to completion callback, when timed
+}
+
+// extras are the per-op costs a driver pays only for the study that needs
+// them: two clock reads (about half the driver's own per-op cost) and a
+// value allocation.
+type extras struct {
+	timed  bool // measure each op's latency (the latency study)
+	unique bool // stamp written values uniquely (audited runs)
+}
+
+// drive is the one windowed closed-loop driver: it keeps l.Window operations
+// drawn from l.Mix outstanding through issue, a fresh one issued as each
+// completes, and hands every completion to done on the driver's goroutine
+// (so done may keep per-driver state without locks). It returns once stop
+// closes or done returns false, after draining its window for at most
+// drainLimit. With x.unique every written value carries a per-driver
+// counter, the audit checker's unique-values premise; otherwise one buffer
+// is reused.
+func drive(issue issuer, l Load, seed int64, x extras, stop <-chan struct{}, done func(completion) bool) {
+	rng := rand.New(rand.NewSource(seed))
+	th := l.Mix.thresholds()
+	val := make([]byte, valLen)
+	rng.Read(val)
+	var stamp uint64
+
+	slots := make(chan completion, l.Window)
+	inflight := 0
+	for live := true; live; {
+		select {
+		case <-stop:
+			live = false
+			continue
+		default:
+		}
+		op := kite.Op{Code: th.pick(rng.Float64()), Key: rng.Uint64() % l.Keys}
+		switch op.Code {
+		case kite.OpFAA:
+			op.Key += l.Keys
+			op.Delta = 1
+		case kite.OpWrite, kite.OpRelease:
+			op.Value = val
+			if x.unique {
+				stamp++
+				op.Value = bytes.Clone(val)
+				binary.LittleEndian.PutUint64(op.Value, stamp)
+			}
+		}
+		if issue.local != nil && issue.local(op) {
+			live = done(completion{code: op.Code})
+			continue
+		}
+		// A full window waits for one completion before issuing; only
+		// asynchronous operations wait, as local ones take no slot.
+		if inflight == l.Window {
+			select {
+			case c := <-slots:
+				inflight--
+				if live = done(c); !live {
+					continue
+				}
+			case <-stop:
+				live = false
+				continue
+			}
+		}
+		code := op.Code
+		var issued time.Time
+		if x.timed {
+			issued = time.Now()
+		}
+		issue.async(op, func(r kite.Result) {
+			c := completion{code: code, err: r.Err}
+			if x.timed {
+				c.lat = time.Since(issued)
+			}
+			slots <- c
+		})
+		inflight++
+	}
+	deadline := time.After(drainLimit)
+	for ; inflight > 0; inflight-- {
+		select {
+		case <-slots:
+		case <-deadline:
+			return
+		}
+	}
+}
+
+// measure is the one measurement window: l.Warmup, then l.Measure with
+// counting switched on through set. It returns the counted window's length.
+func measure(l Load, set func(on bool)) time.Duration {
+	time.Sleep(l.Warmup)
+	set(true)
+	start := time.Now()
+	time.Sleep(l.Measure)
+	set(false)
+	return time.Since(start)
+}
+
+// runLoad drives every issuer under l through one measurement window and
+// hands each successful completion inside it to record, with the index of
+// the driver it came from, on that driver's goroutine. It returns the
+// window's length once every driver has wound down.
+func runLoad(issuers []issuer, l Load, x extras, record func(driver int, c completion)) time.Duration {
+	var counting atomic.Bool
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, issue := range issuers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drive(issue, l, int64(i), x, stop, func(c completion) bool {
+				if c.err == nil && counting.Load() {
+					record(i, c)
+				}
+				return true
+			})
+		}()
+	}
+	elapsed := measure(l, counting.Store)
+	close(stop)
+	wg.Wait()
+	return elapsed
+}
+
+// throughput counts runLoad's completions.
+func throughput(issuers []issuer, l Load, x extras) Result {
+	counts := make([]uint64, len(issuers))
+	d := runLoad(issuers, l, x, func(i int, _ completion) { counts[i]++ })
+	res := Result{Duration: d}
+	for _, n := range counts {
+		res.Ops += n
+	}
+	return res
+}
+
+// deployment is what the drivers need of kite.Cluster and sharded.Cluster.
+type deployment interface {
+	Nodes() int
+	SessionsPerNode() int
+	Session(node, sess int) kite.Session
+}
+
+// sessionsOf opens every session of every node of d.
+func sessionsOf(d deployment) []kite.Session {
+	var out []kite.Session
+	for n := range d.Nodes() {
+		for si := range d.SessionsPerNode() {
+			out = append(out, d.Session(n, si))
+		}
+	}
+	return out
+}
+
+func issuersOf(sessions []kite.Session) []issuer {
+	out := make([]issuer, len(sessions))
+	for i, s := range sessions {
+		out[i] = issuer{async: s.DoAsync}
+	}
+	return out
+}
+
+// prefill writes n keys (wrapping at keys) through s, bounding the
+// outstanding writes, then fences them, so every replica holds the whole
+// prefilled store before the load starts: a recovery or reconfiguration
+// sweep has a real store to move, and the latency study's acquires find
+// written keys the local-acquire fast path can serve (a never-written key
+// reads back empty, which the fast path never serves).
+func prefill(s kite.Session, n int, keys uint64) error {
+	var pending sync.WaitGroup
+	for i := range n {
+		pending.Add(1)
+		val := []byte(fmt.Sprintf("prefill-%d", i))
+		s.DoAsync(kite.WriteOp(uint64(i)%keys, val), func(kite.Result) { pending.Done() })
+		if i%1024 == 1023 {
+			pending.Wait()
+		}
+	}
+	pending.Wait()
+	_, err := s.Do(context.Background(), kite.FlushOp())
+	return err
 }
 
 // KiteOpts parameterises a Kite throughput run.
 type KiteOpts struct {
 	Name    string
-	Options kite.Options // in-process deployment (when Sessions is nil)
-	// Groups > 1 shards the in-process deployment: Groups independent
-	// replica groups of Options.Nodes each behind sharded sessions (the
-	// -groups knob of kite-bench). Ignored when Sessions is supplied.
+	Options kite.Options // in-process deployment
+	// Groups > 1 shards the deployment: Groups independent replica groups
+	// of Options.Nodes each behind sharded sessions (the -groups knob of
+	// kite-bench).
 	Groups int
-	Mix    Mix
-	Keys    uint64 // uniform key range (paper: 1M)
-	ValLen  int    // value size (paper: 32B)
-	Window  int    // outstanding async ops per session
-	Warmup  time.Duration
-	Measure time.Duration
-	// Sessions optionally supplies the sessions to drive — any
-	// kite.Session backend, e.g. remote client sessions against a live
-	// multi-process deployment. When nil, an in-process cluster is created
-	// from Options and every session of every node is driven.
-	Sessions []DriverSession
-	// PerNode, when non-nil, receives per-node measured op counts.
-	PerNode *[]uint64
+	Load
 	// AuditSample > 0 rides the internal/audit online verifier on every
 	// driven session, sampling keys at this rate (1 = every key) — the
 	// perf run doubles as a correctness run. Coverage counters land in
 	// Result.Extra (audit_* keys) and any reported violation fails the
-	// run. Audited drivers write per-op unique values (the checker's
-	// census assumption) instead of reusing one buffer per session.
+	// run. Audited drivers write per-op unique values.
 	AuditSample float64
 }
 
-func (o *KiteOpts) defaults() {
-	if o.Keys == 0 {
-		o.Keys = 1 << 20
-	}
-	if o.ValLen == 0 {
-		o.ValLen = 32
-	}
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 100 * time.Millisecond
-	}
-	if o.Measure == 0 {
-		o.Measure = 500 * time.Millisecond
-	}
-}
-
-// RunKite drives the mixed workload against a Kite deployment and measures
-// completed operations per second across all sessions.
+// RunKite drives the mixed workload on every session of an in-process
+// deployment and measures completed operations per second across them.
 func RunKite(o KiteOpts) (Result, error) {
 	o.defaults()
-	sessions := o.Sessions
-	nodes := 0
-	switch {
-	case sessions != nil:
-	case o.Groups > 1:
+	var sessions []kite.Session
+	if o.Groups > 1 {
 		c, err := sharded.NewCluster(o.Groups, o.Options)
 		if err != nil {
 			return Result{}, err
 		}
 		defer c.Close()
-		for n := 0; n < c.Nodes(); n++ {
-			for si := 0; si < c.SessionsPerNode(); si++ {
-				sessions = append(sessions, DriverSession{Node: n, S: c.Session(n, si)})
-			}
-		}
+		sessions = sessionsOf(c)
 		// Sharded sessions run a pump goroutine each; retire them before
 		// the groups stop (defers run LIFO).
 		owned := sessions
 		defer func() {
-			for _, ds := range owned {
-				ds.S.Close()
+			for _, s := range owned {
+				s.Close()
 			}
 		}()
-	default:
+	} else {
 		c, err := kite.NewCluster(o.Options)
 		if err != nil {
 			return Result{}, err
 		}
 		defer c.Close()
-		for n := 0; n < c.Nodes(); n++ {
-			for si := 0; si < c.SessionsPerNode(); si++ {
-				sessions = append(sessions, DriverSession{Node: n, S: c.Session(n, si)})
-			}
-		}
-	}
-	for _, ds := range sessions {
-		if ds.Node >= nodes {
-			nodes = ds.Node + 1
-		}
+		sessions = sessionsOf(c)
 	}
 
 	var aud *audit.Auditor
 	if o.AuditSample > 0 {
 		aud = audit.New(audit.Config{KeyRate: o.AuditSample})
 		for i := range sessions {
-			sessions[i].S = aud.Wrap(sessions[i].S)
+			sessions[i] = aud.Wrap(sessions[i])
 		}
 	}
-
-	var counting atomic.Bool
-	var stop atomic.Bool
-	counted := make([]atomic.Uint64, nodes)
-
-	var wg sync.WaitGroup
-	for i, ds := range sessions {
-		wg.Add(1)
-		go func(ds DriverSession, seed int64) {
-			defer wg.Done()
-			driveSession(ds.S, o, seed, &counting, &stop, &counted[ds.Node])
-		}(ds, int64(ds.Node*1000+i))
-	}
-
-	time.Sleep(o.Warmup)
-	counting.Store(true)
-	start := time.Now()
-	time.Sleep(o.Measure)
-	counting.Store(false)
-	elapsed := time.Since(start)
-	stop.Store(true)
-	wg.Wait()
-
-	var total uint64
-	perNode := make([]uint64, nodes)
-	for i := range counted {
-		perNode[i] = counted[i].Load()
-		total += perNode[i]
-	}
-	if o.PerNode != nil {
-		*o.PerNode = perNode
-	}
-	res := Result{Name: o.Name, Ops: total, Duration: elapsed}
+	res := throughput(issuersOf(sessions), o.Load, extras{unique: aud != nil})
+	res.Name = o.Name
 	if aud != nil {
 		aud.Close()
 		sum := aud.Summary()
@@ -259,30 +402,4 @@ func RunKite(o KiteOpts) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// driveSession is the closed-loop driver: Window outstanding async ops
-// through the unified Session interface, a fresh random op issued as each
-// completes. It is driveSessionUntil (recovery.go) against a node that
-// never dies.
-func driveSession(s kite.Session, o KiteOpts, seed int64,
-	counting, stop *atomic.Bool, counted *atomic.Uint64) {
-
-	var never atomic.Bool
-	driveSessionUntil(s, o, seed, counting, stop, &never, counted)
-}
-
-func codeFor(k opKind) kite.OpCode {
-	switch k {
-	case opWrite:
-		return kite.OpWrite
-	case opRelease:
-		return kite.OpRelease
-	case opAcquire:
-		return kite.OpAcquire
-	case opFAA:
-		return kite.OpFAA
-	default:
-		return kite.OpRead
-	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -52,31 +51,30 @@ func TestMixThresholds(t *testing.T) {
 		t.Fatalf("read share %v", 1-th.acquire)
 	}
 	// Pick at the boundaries.
-	if th.pick(0) != opFAA || th.pick(0.999) != opRead {
+	if th.pick(0) != kite.OpFAA || th.pick(0.999) != kite.OpRead {
 		t.Fatal("pick at extremes")
 	}
 }
 
 func TestMixAllRelaxed(t *testing.T) {
 	th := Mix{WriteRatio: 0.2}.thresholds()
-	counts := map[opKind]int{}
+	counts := map[kite.OpCode]int{}
 	for i := 0; i < 1000; i++ {
 		counts[th.pick(float64(i)/1000)]++
 	}
-	if counts[opFAA] != 0 || counts[opRelease] != 0 || counts[opAcquire] != 0 {
+	if counts[kite.OpFAA] != 0 || counts[kite.OpRelease] != 0 || counts[kite.OpAcquire] != 0 {
 		t.Fatalf("sync ops in relaxed mix: %v", counts)
 	}
-	if counts[opWrite] < 150 || counts[opWrite] > 250 {
-		t.Fatalf("write share %d/1000", counts[opWrite])
+	if counts[kite.OpWrite] < 150 || counts[kite.OpWrite] > 250 {
+		t.Fatalf("write share %d/1000", counts[kite.OpWrite])
 	}
 }
 
 func TestRunKiteSmoke(t *testing.T) {
 	res, err := RunKite(KiteOpts{
 		Options: smokeOptions(),
-		Mix:     Mix{WriteRatio: 0.2, SyncFrac: 0.1},
-		Keys:    1 << 10, Window: smokeWindow(),
-		Warmup: 30 * time.Millisecond, Measure: 80 * time.Millisecond,
+		Load: Load{Mix: Mix{WriteRatio: 0.2, SyncFrac: 0.1}, Keys: 1 << 10, Window: smokeWindow(),
+			Warmup: 30 * time.Millisecond, Measure: 80 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +89,8 @@ func TestRunKiteSmoke(t *testing.T) {
 func TestRunKiteAudited(t *testing.T) {
 	res, err := RunKite(KiteOpts{
 		Options: smokeOptions(),
-		Mix:     Mix{WriteRatio: 0.3, SyncFrac: 0.2, RMWFrac: 0.1},
-		Keys:    1 << 8, Window: smokeWindow(),
-		Warmup: 30 * time.Millisecond, Measure: 80 * time.Millisecond,
+		Load: Load{Mix: Mix{WriteRatio: 0.3, SyncFrac: 0.2, RMWFrac: 0.1}, Keys: 1 << 8, Window: smokeWindow(),
+			Warmup: 30 * time.Millisecond, Measure: 80 * time.Millisecond},
 		AuditSample: 1,
 	})
 	if err != nil {
@@ -112,9 +109,8 @@ func TestRunKiteShardedSmoke(t *testing.T) {
 	o.Nodes = 2 // two groups of two: four nodes total
 	res, err := RunKite(KiteOpts{
 		Options: o, Groups: 2,
-		Mix:  Mix{WriteRatio: 0.5, SyncFrac: 0.1},
-		Keys: 1 << 10, Window: smokeWindow(),
-		Warmup: 30 * time.Millisecond, Measure: 80 * time.Millisecond,
+		Load: Load{Mix: Mix{WriteRatio: 0.5, SyncFrac: 0.1}, Keys: 1 << 10, Window: smokeWindow(),
+			Warmup: 30 * time.Millisecond, Measure: 80 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,33 +120,11 @@ func TestRunKiteShardedSmoke(t *testing.T) {
 	}
 }
 
-func TestFigureShardSmoke(t *testing.T) {
-	fc := FigureConfig{
-		Workers: 1, SessionsPerWorker: 1, Keys: 1 << 10,
-		Warmup: 10 * time.Millisecond, Measure: 40 * time.Millisecond,
-		Out: io.Discard,
-	}
-	rep, err := FigureShard(fc, 2, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		if pt.RelaxedMreqs == 0 || pt.MixedMreqs == 0 || pt.SyncMreqs == 0 {
-			t.Fatalf("empty series in point %+v", pt)
-		}
-	}
-}
-
 func TestRunFailureStudySmoke(t *testing.T) {
 	out, err := RunFailureStudy(FailureOpts{
 		Options: smokeOptions(),
-		Mix:     Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-		Keys:    1 << 10, Window: smokeWindow(),
-		Warmup: 30 * time.Millisecond,
-		Total:  220 * time.Millisecond, Sample: 20 * time.Millisecond,
+		Load: Load{Mix: Mix{WriteRatio: 0.05, SyncFrac: 0.05}, Keys: 1 << 10, Window: smokeWindow(),
+			Warmup: 30 * time.Millisecond, Measure: 220 * time.Millisecond},
 		SleepNode: 2, SleepAt: 60 * time.Millisecond, SleepFor: 80 * time.Millisecond,
 	})
 	if err != nil {
@@ -162,6 +136,27 @@ func TestRunFailureStudySmoke(t *testing.T) {
 	// Availability: the cluster keeps serving during the sleep.
 	if out.Intermediate <= 0 {
 		t.Fatal("throughput collapsed during the sleep")
+	}
+}
+
+// TestTimelineExcludesWarmup: completions counted before the sampled span
+// starts must not land in its first sample (they would inflate every
+// pre-failure average by the warmup-to-sample ratio).
+func TestTimelineExcludesWarmup(t *testing.T) {
+	tl := newTimeline(nil, Load{Warmup: 30 * time.Millisecond, Measure: 2 * sampleEvery}, 2)
+	tl.counted[0].Add(1_000_000)
+	tl.counted[1].Add(500_000)
+	tps, err := tl.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tps) == 0 {
+		t.Fatal("no samples")
+	}
+	for _, tp := range tps {
+		if tp.Total != 0 {
+			t.Fatalf("sample at %v counts warmup completions: %+v", tp.At, tp)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"time"
@@ -81,11 +80,8 @@ func FigureDurability(fc FigureConfig) (*DurabilityReport, error) {
 			opts.WALDir = dir
 			defer os.RemoveAll(dir)
 		}
-		res, err := RunKite(KiteOpts{
-			Name: fmt.Sprintf("durability-%s", s.mode), Options: opts,
-			Mix:  Mix{WriteRatio: 1.0},
-			Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure,
-		})
+		res, err := RunKite(KiteOpts{Name: "durability-" + s.mode, Options: opts,
+			Load: fc.load(Mix{WriteRatio: 1.0})})
 		if err != nil {
 			return nil, err
 		}

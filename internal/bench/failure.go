@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kite"
@@ -11,54 +8,14 @@ import (
 )
 
 // FailureOpts parameterises the §8.4 failure study: a replica sleeps for
-// SleepFor in the middle of a steady mixed workload, and throughput is
-// sampled per node on a fixed cadence.
+// SleepFor in the middle of a steady mixed workload (paper: 5% writes, 5%
+// synchronisation), and throughput is sampled per node over Load.Measure.
 type FailureOpts struct {
-	Options   kite.Options
-	Mix       Mix // paper: 5% writes, 5% synchronisation
-	Keys      uint64
-	ValLen    int
-	Window    int
-	Warmup    time.Duration
-	Total     time.Duration // sampled portion of the run
-	Sample    time.Duration // sampling period (paper plots ~ms resolution)
+	Options kite.Options
+	Load
 	SleepNode int
-	SleepAt   time.Duration // offset of the sleep within the sampled window
+	SleepAt   time.Duration // offset of the sleep within the sampled span
 	SleepFor  time.Duration // paper: 400 ms
-}
-
-func (o *FailureOpts) defaults() {
-	if o.Keys == 0 {
-		o.Keys = 1 << 20
-	}
-	if o.ValLen == 0 {
-		o.ValLen = 32
-	}
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 150 * time.Millisecond
-	}
-	if o.Total == 0 {
-		o.Total = 800 * time.Millisecond
-	}
-	if o.Sample == 0 {
-		o.Sample = 20 * time.Millisecond
-	}
-	if o.SleepAt == 0 {
-		o.SleepAt = 100 * time.Millisecond
-	}
-	if o.SleepFor == 0 {
-		o.SleepFor = 400 * time.Millisecond
-	}
-}
-
-// TimePoint is one sample of the failure-study timeline.
-type TimePoint struct {
-	At      time.Duration
-	PerNode []float64 // mreqs per node over the sample
-	Total   float64   // mreqs across nodes
 }
 
 // FailureOutcome summarises a failure-study run against the paper's
@@ -76,7 +33,8 @@ type FailureOutcome struct {
 	SlowPath core.Stats
 }
 
-// RunFailureStudy reproduces Figure 9.
+// RunFailureStudy reproduces Figure 9: the sleep is one scheduled step on
+// the timeline runner.
 func RunFailureStudy(o FailureOpts) (FailureOutcome, error) {
 	o.defaults()
 	c, err := kite.NewCluster(o.Options)
@@ -85,58 +43,30 @@ func RunFailureStudy(o FailureOpts) (FailureOutcome, error) {
 	}
 	defer c.Close()
 
-	nodes := c.Nodes()
-	var stop atomic.Bool
-	counting := atomic.Bool{}
-	counted := make([]atomic.Uint64, nodes)
-
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		for si := 0; si < c.SessionsPerNode(); si++ {
-			wg.Add(1)
-			go func(n int, s kite.Session, seed int64) {
-				defer wg.Done()
-				ko := KiteOpts{Mix: o.Mix, Keys: o.Keys, ValLen: o.ValLen, Window: o.Window}
-				ko.defaults()
-				driveSession(s, ko, seed, &counting, &stop, &counted[n])
-			}(n, c.Session(n, si), int64(n*1000+si+7))
-		}
+	t := newTimeline(c, o.Load, c.Nodes())
+	for n := range c.Nodes() {
+		t.drive(n)
 	}
-	counting.Store(true)
-
-	time.Sleep(o.Warmup)
-
-	// Sample the timeline; trigger the sleep at the configured offset.
-	var timeline []TimePoint
-	prev := snapshotCounts(counted)
-	start := time.Now()
-	slept := false
-	for elapsed := time.Duration(0); elapsed < o.Total; {
-		time.Sleep(o.Sample)
-		now := time.Since(start)
-		cur := snapshotCounts(counted)
-		tp := TimePoint{At: now, PerNode: make([]float64, nodes)}
-		dt := (now - elapsed).Seconds()
-		for i := 0; i < nodes; i++ {
-			tp.PerNode[i] = float64(cur[i]-prev[i]) / dt / 1e6
-			tp.Total += tp.PerNode[i]
-		}
-		timeline = append(timeline, tp)
-		prev = cur
-		elapsed = now
-		if !slept && elapsed >= o.SleepAt {
-			c.PauseNode(o.SleepNode, o.SleepFor)
-			slept = true
-		}
+	tl, err := t.run(step{o.SleepAt, func() error {
+		c.PauseNode(o.SleepNode, o.SleepFor)
+		return nil
+	}})
+	if err != nil {
+		return FailureOutcome{}, err
 	}
-	stop.Store(true)
-	wg.Wait()
 
-	out := FailureOutcome{Timeline: timeline, SlowPath: sumStats(c)}
+	out := FailureOutcome{Timeline: tl}
+	for n := range c.Nodes() {
+		st := c.NodeStats(n)
+		out.SlowPath.SlowReads += st.SlowReads
+		out.SlowPath.SlowWrites += st.SlowWrites
+		out.SlowPath.EpochBumps += st.EpochBumps
+		out.SlowPath.SlowReleases += st.SlowReleases
+	}
 	// Period averages: pre-sleep = samples before SleepAt; intermediate =
 	// well inside the sleep; post = after wake + margin.
 	var pre, mid, post []TimePoint
-	for _, tp := range timeline {
+	for _, tp := range tl {
 		switch {
 		case tp.At < o.SleepAt:
 			pre = append(pre, tp)
@@ -149,78 +79,7 @@ func RunFailureStudy(o FailureOpts) (FailureOutcome, error) {
 	out.PreSleep = avgTotal(pre)
 	out.Intermediate = avgTotal(mid)
 	out.PostSleep = avgTotal(post)
-	out.PreSleepPerNode = avgPerOperational(pre, -1, nodes)
-	out.IntermediatePerNode = avgPerOperational(mid, o.SleepNode, nodes)
+	out.PreSleepPerNode = avgPerOperational(pre, -1)
+	out.IntermediatePerNode = avgPerOperational(mid, o.SleepNode)
 	return out, nil
-}
-
-func snapshotCounts(c []atomic.Uint64) []uint64 {
-	out := make([]uint64, len(c))
-	for i := range c {
-		out[i] = c[i].Load()
-	}
-	return out
-}
-
-func sumStats(c *kite.Cluster) core.Stats {
-	var s core.Stats
-	for i := 0; i < c.Nodes(); i++ {
-		st := c.NodeStats(i)
-		s.SlowReads += st.SlowReads
-		s.SlowWrites += st.SlowWrites
-		s.EpochBumps += st.EpochBumps
-		s.SlowReleases += st.SlowReleases
-	}
-	return s
-}
-
-func avgTotal(tps []TimePoint) float64 {
-	if len(tps) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, tp := range tps {
-		sum += tp.Total
-	}
-	return sum / float64(len(tps))
-}
-
-// avgPerOperational averages per-node throughput over nodes other than
-// excluded (-1 = none).
-func avgPerOperational(tps []TimePoint, excluded, nodes int) float64 {
-	if len(tps) == 0 {
-		return 0
-	}
-	var sum float64
-	var cnt int
-	for _, tp := range tps {
-		for i := 0; i < nodes; i++ {
-			if i != excluded {
-				sum += tp.PerNode[i]
-				cnt++
-			}
-		}
-	}
-	return sum / float64(cnt)
-}
-
-// FormatTimeline renders the Figure-9 timeline as an aligned text table.
-func FormatTimeline(out FailureOutcome, sleepNode int) string {
-	s := fmt.Sprintf("%8s %10s", "t(ms)", "total")
-	for i := range out.Timeline[0].PerNode {
-		tag := fmt.Sprintf("node%d", i)
-		if i == sleepNode {
-			tag += "*"
-		}
-		s += fmt.Sprintf(" %9s", tag)
-	}
-	s += "\n"
-	for _, tp := range out.Timeline {
-		s += fmt.Sprintf("%8.0f %10.3f", float64(tp.At.Milliseconds()), tp.Total)
-		for _, v := range tp.PerNode {
-			s += fmt.Sprintf(" %9.3f", v)
-		}
-		s += "\n"
-	}
-	return s
 }

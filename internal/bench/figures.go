@@ -46,9 +46,33 @@ func (fc FigureConfig) kiteOptions() kite.Options {
 		SessionsPerWorker: fc.SessionsPerWorker, Capacity: int(fc.Keys)}
 }
 
-func (fc FigureConfig) zabConfig() zab.Config {
-	return zab.Config{Nodes: fc.Nodes, Workers: fc.Workers,
+// load is the figures' load spec for mix.
+func (fc FigureConfig) load(mix Mix) Load {
+	return Load{Mix: mix, Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure}
+}
+
+// timelineLoad is the recovery and reconfiguration studies' load: Figure
+// 9's mix sampled over a fixed 900 ms, the span their schedules need
+// whatever the throughput figures' measurement window is.
+func (fc FigureConfig) timelineLoad() Load {
+	l := fc.load(Mix{WriteRatio: 0.05, SyncFrac: 0.05})
+	l.Measure = 900 * time.Millisecond
+	return l
+}
+
+// kiteMreqs measures one Kite point of figures 5-7: over Groups replica
+// groups, audited at AuditSample.
+func (fc FigureConfig) kiteMreqs(mix Mix) (float64, error) {
+	res, err := RunKite(KiteOpts{Options: fc.kiteOptions(), Groups: fc.Groups,
+		Load: fc.load(mix), AuditSample: fc.AuditSample})
+	return res.Mreqs(), err
+}
+
+func (fc FigureConfig) zabMreqs(writeRatio float64) float64 {
+	cfg := zab.Config{Nodes: fc.Nodes, Workers: fc.Workers,
 		SessionsPerWorker: fc.SessionsPerWorker, KVSCapacity: int(fc.Keys)}
+	return RunZab(ZabOpts{Config: cfg, WriteRatio: writeRatio, Keys: fc.Keys,
+		Warmup: fc.Warmup, Measure: fc.Measure}).Mreqs()
 }
 
 func (fc FigureConfig) printf(format string, args ...any) {
@@ -64,29 +88,19 @@ func Figure5(fc FigureConfig, writeRatios []float64) error {
 	fc.printf("# Figure 5: throughput (mreqs) vs write ratio, %d nodes\n", fc.Nodes)
 	fc.printf("%-8s %10s %10s %10s %10s %10s\n", "write%", "ES", "Kite-5%", "ABD", "Paxos", "ZAB")
 	for _, w := range writeRatios {
-		row := [5]float64{}
-		series := []struct {
-			idx int
-			mix Mix
-		}{
-			{0, Mix{WriteRatio: w}},                            // ES: all relaxed
-			{1, Mix{WriteRatio: w, SyncFrac: 0.05}},            // Kite, 5% sync
-			{2, Mix{WriteRatio: w, SyncFrac: 1.0}},             // ABD: all sync
-			{3, Mix{WriteRatio: w, SyncFrac: 1.0, RMWFrac: w}}, // Paxos writes + ABD reads
-		}
-		for _, s := range series {
-			res, err := RunKite(KiteOpts{
-				Options: fc.kiteOptions(), Groups: fc.Groups, Mix: s.mix, Keys: fc.Keys,
-				Warmup: fc.Warmup, Measure: fc.Measure, AuditSample: fc.AuditSample,
-			})
-			if err != nil {
+		var row [5]float64
+		for i, mix := range []Mix{
+			{WriteRatio: w},                            // ES: all relaxed
+			{WriteRatio: w, SyncFrac: 0.05},            // Kite, 5% sync
+			{WriteRatio: w, SyncFrac: 1.0},             // ABD: all sync
+			{WriteRatio: w, SyncFrac: 1.0, RMWFrac: w}, // Paxos writes + ABD reads
+		} {
+			var err error
+			if row[i], err = fc.kiteMreqs(mix); err != nil {
 				return err
 			}
-			row[s.idx] = res.Mreqs()
 		}
-		zr := RunZab(ZabOpts{Config: fc.zabConfig(), WriteRatio: w,
-			Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure})
-		row[4] = zr.Mreqs()
+		row[4] = fc.zabMreqs(w)
 		fc.printf("%-8.0f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
 			w*100, row[0], row[1], row[2], row[3], row[4])
 	}
@@ -118,24 +132,14 @@ func Figure6(fc FigureConfig, writeRatios []float64) error {
 	for _, w := range writeRatios {
 		fc.printf("%-8.0f", w*100)
 		for _, s := range ss {
-			rmw := s.rmw
-			if rmw > w {
-				rmw = w // RMWs are a subset of writes
-			}
-			res, err := RunKite(KiteOpts{
-				Options: fc.kiteOptions(), Groups: fc.Groups,
-				Mix:    Mix{WriteRatio: w, SyncFrac: s.sync, RMWFrac: rmw},
-				Keys:   fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure,
-				AuditSample: fc.AuditSample,
-			})
+			// RMWs are a subset of writes.
+			mreqs, err := fc.kiteMreqs(Mix{WriteRatio: w, SyncFrac: s.sync, RMWFrac: min(s.rmw, w)})
 			if err != nil {
 				return err
 			}
-			fc.printf(" %14.3f", res.Mreqs())
+			fc.printf(" %14.3f", mreqs)
 		}
-		zr := RunZab(ZabOpts{Config: fc.zabConfig(), WriteRatio: w,
-			Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure})
-		fc.printf(" %10.3f\n", zr.Mreqs())
+		fc.printf(" %10.3f\n", fc.zabMreqs(w))
 	}
 	return nil
 }
@@ -153,16 +157,13 @@ func Figure7(fc FigureConfig) error {
 		{"Kite-RMWs(Paxos)", Mix{WriteRatio: 1, RMWFrac: 1}},
 	}
 	for _, r := range rows {
-		res, err := RunKite(KiteOpts{Options: fc.kiteOptions(), Groups: fc.Groups, Mix: r.mix,
-			Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure, AuditSample: fc.AuditSample})
+		mreqs, err := fc.kiteMreqs(r.mix)
 		if err != nil {
 			return err
 		}
-		fc.printf("%-22s %10.3f\n", r.name, res.Mreqs())
+		fc.printf("%-22s %10.3f\n", r.name, mreqs)
 	}
-	zr := RunZab(ZabOpts{Config: fc.zabConfig(), WriteRatio: 1,
-		Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure})
-	fc.printf("%-22s %10.3f\n", "ZAB", zr.Mreqs())
+	fc.printf("%-22s %10.3f\n", "ZAB", fc.zabMreqs(1))
 	for _, mode := range []derecho.Mode{derecho.Ordered, derecho.Unordered} {
 		name := "Derecho-ordered"
 		if mode == derecho.Unordered {
@@ -219,11 +220,9 @@ func Figure8(fc FigureConfig, structs, sessionsPerNode int) error {
 		}
 		// ZAB-ideal: ZAB's mreqs at this workload's write ratio, divided by
 		// the requests each structure op-pair needs (§8.3's methodology).
-		zr := RunZab(ZabOpts{Config: fc.zabConfig(), WriteRatio: shared.WriteRatio(),
-			Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure})
 		zabIdeal := 0.0
 		if shared.ReqsPerOp() > 0 {
-			zabIdeal = zr.Mreqs() / shared.ReqsPerOp()
+			zabIdeal = fc.zabMreqs(shared.WriteRatio()) / shared.ReqsPerOp()
 		}
 		speedup := 0.0
 		if zabIdeal > 0 {
@@ -241,19 +240,17 @@ func Figure9(fc FigureConfig, sleepFor time.Duration) error {
 	if sleepFor == 0 {
 		sleepFor = 400 * time.Millisecond
 	}
+	l := fc.load(Mix{WriteRatio: 0.05, SyncFrac: 0.05})
+	l.Measure = sleepFor*2 + 200*time.Millisecond
 	out, err := RunFailureStudy(FailureOpts{
-		Options:   fc.kiteOptions(),
-		Mix:       Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-		Keys:      fc.Keys,
-		SleepNode: fc.Nodes - 1,
-		SleepFor:  sleepFor,
-		Total:     sleepFor*2 + 200*time.Millisecond,
+		Options: fc.kiteOptions(), Load: l,
+		SleepNode: fc.Nodes - 1, SleepAt: 100 * time.Millisecond, SleepFor: sleepFor,
 	})
 	if err != nil {
 		return err
 	}
 	fc.printf("# Figure 9: failure study (node %d sleeps %v)\n", fc.Nodes-1, sleepFor)
-	fc.printf("%s", FormatTimeline(out, fc.Nodes-1))
+	fc.printf("%s", FormatTimeline(out.Timeline, fc.Nodes-1))
 	fc.printf("\npre-sleep total:      %8.3f mreqs (per operational node %8.3f)\n",
 		out.PreSleep, out.PreSleepPerNode)
 	fc.printf("intermediate total:   %8.3f mreqs (per operational node %8.3f)\n",
@@ -277,17 +274,15 @@ func AblationTimeout(fc FigureConfig, timeouts []time.Duration) error {
 	for _, to := range timeouts {
 		opts := fc.kiteOptions()
 		opts.ReleaseTimeout = to
-		healthy, err := RunKite(KiteOpts{Options: opts,
-			Mix: Mix{WriteRatio: 0.2, SyncFrac: 0.2}, Keys: fc.Keys,
-			Warmup: fc.Warmup, Measure: fc.Measure})
+		l := fc.load(Mix{WriteRatio: 0.2, SyncFrac: 0.2})
+		healthy, err := RunKite(KiteOpts{Options: opts, Load: l})
 		if err != nil {
 			return err
 		}
+		l.Measure = 500 * time.Millisecond
 		out, err := RunFailureStudy(FailureOpts{
-			Options: opts, Mix: Mix{WriteRatio: 0.2, SyncFrac: 0.2}, Keys: fc.Keys,
-			SleepNode: fc.Nodes - 1,
-			SleepFor:  300 * time.Millisecond, Total: 500 * time.Millisecond,
-			SleepAt: 100 * time.Millisecond,
+			Options: opts, Load: l, SleepNode: fc.Nodes - 1,
+			SleepAt: 100 * time.Millisecond, SleepFor: 300 * time.Millisecond,
 		})
 		if err != nil {
 			return err
@@ -304,9 +299,7 @@ func AblationFastPath(fc FigureConfig) error {
 	for _, disabled := range []bool{false, true} {
 		opts := fc.kiteOptions()
 		opts.DisableFastPath = disabled
-		res, err := RunKite(KiteOpts{Options: opts,
-			Mix: Mix{WriteRatio: 0.05, SyncFrac: 0.05}, Keys: fc.Keys,
-			Warmup: fc.Warmup, Measure: fc.Measure})
+		res, err := RunKite(KiteOpts{Options: opts, Load: fc.load(Mix{WriteRatio: 0.05, SyncFrac: 0.05})})
 		if err != nil {
 			return err
 		}

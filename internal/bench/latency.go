@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kite"
@@ -18,12 +15,6 @@ import (
 // round — so this figure reports p50/p99 per operation class. It is also
 // the companion to the durability figure: re-run with -fig latency against
 // a WAL deployment to see what group-commit adds to the write tail.
-
-// latSample is one completed operation's measured latency.
-type latSample struct {
-	class kite.OpCode
-	d     time.Duration
-}
 
 // LatencyClass summarises one operation class's distribution.
 type LatencyClass struct {
@@ -72,8 +63,7 @@ func FigureLatency(fc FigureConfig) (*LatencyReport, error) {
 	o := KiteOpts{
 		Name:    "latency",
 		Options: fc.kiteOptions(),
-		Mix:     Mix{WriteRatio: 0.40, SyncFrac: 0.20, RMWFrac: 0.10},
-		Keys:    fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure,
+		Load:    fc.load(Mix{WriteRatio: 0.40, SyncFrac: 0.20, RMWFrac: 0.10}),
 	}
 	o.defaults()
 
@@ -87,11 +77,8 @@ func FigureLatency(fc FigureConfig) (*LatencyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	relaxed, err := RunKite(KiteOpts{
-		Name: "latency-relaxed", Options: fc.kiteOptions(),
-		Mix:  Mix{WriteRatio: 1.0},
-		Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure,
-	})
+	relaxed, err := RunKite(KiteOpts{Name: "latency-relaxed", Options: fc.kiteOptions(),
+		Load: fc.load(Mix{WriteRatio: 1.0})})
 	if err != nil {
 		return nil, err
 	}
@@ -114,12 +101,12 @@ func FigureLatency(fc FigureConfig) (*LatencyReport, error) {
 		rep.LocalAcqHitRate = float64(fast.hits) / float64(total)
 	}
 
-	group := func(samples []latSample) (map[kite.OpCode][]time.Duration, []time.Duration) {
+	group := func(samples []completion) (map[kite.OpCode][]time.Duration, []time.Duration) {
 		byClass := map[kite.OpCode][]time.Duration{}
 		var all []time.Duration
 		for _, s := range samples {
-			byClass[s.class] = append(byClass[s.class], s.d)
-			all = append(all, s.d)
+			byClass[s.code] = append(byClass[s.code], s.lat)
+			all = append(all, s.lat)
 		}
 		return byClass, all
 	}
@@ -173,137 +160,39 @@ func summarise(name string, ds []time.Duration) LatencyClass {
 	return lc
 }
 
-// latRun is one runLatency pass: the measurement window's merged samples
-// plus the cluster-wide local-acquire hit/fallback counters at teardown.
+// latRun is one runLatency pass: the measurement window's samples plus the
+// cluster-wide local-acquire hit/fallback counters at teardown.
 type latRun struct {
-	samples     []latSample
+	samples     []completion
 	hits, falls uint64
 }
 
-// runLatency boots the deployment of o, prefills the key range, and drives
-// every session with the latency-recording closed-loop driver, returning
-// the merged samples of the measurement window.
+// runLatency boots the deployment of o, prefills the whole key range so
+// measured acquires face keys in steady state, and drives every session,
+// keeping each measured completion's latency.
 func runLatency(o KiteOpts) (latRun, error) {
 	c, err := kite.NewCluster(o.Options)
 	if err != nil {
 		return latRun{}, err
 	}
 	defer c.Close()
-	prefillLatency(c, o)
-
-	var counting, stop atomic.Bool
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var merged []latSample
-	for n := 0; n < c.Nodes(); n++ {
-		for si := 0; si < c.SessionsPerNode(); si++ {
-			wg.Add(1)
-			go func(s kite.Session, seed int64) {
-				defer wg.Done()
-				// The per-session slice is appended only here; merge under
-				// the mutex once the driver winds down.
-				own := driveLatencySession(s, o, seed, &counting, &stop)
-				mu.Lock()
-				merged = append(merged, own...)
-				mu.Unlock()
-			}(c.Session(n, si), int64(n*1000+si+13))
-		}
+	if err := prefill(c.Session(0, 0), int(o.Keys), o.Keys); err != nil {
+		return latRun{}, err
 	}
-	time.Sleep(o.Warmup)
-	counting.Store(true)
-	time.Sleep(o.Measure)
-	counting.Store(false)
-	stop.Store(true)
-	wg.Wait()
+	sessions := sessionsOf(c)
+	perDriver := make([][]completion, len(sessions))
+	runLoad(issuersOf(sessions), o.Load, extras{timed: true}, func(i int, c completion) {
+		perDriver[i] = append(perDriver[i], c)
+	})
 
-	run := latRun{samples: merged}
-	for n := 0; n < c.Nodes(); n++ {
+	var run latRun
+	for _, ss := range perDriver {
+		run.samples = append(run.samples, ss...)
+	}
+	for n := range c.Nodes() {
 		st := c.NodeStats(n)
 		run.hits += st.LocalAcqHits
 		run.falls += st.AcqFallbacks
 	}
 	return run, nil
-}
-
-// prefillLatency writes every key once (relaxed, pipelined, one session per
-// node over a partitioned key range) before the drivers start, so measured
-// acquires face keys in steady state: a never-written key reads back empty,
-// and an empty value is never served by the local-acquire fast path — an
-// unfilled store would understate the hit rate the fast path reaches in
-// practice. The trailing sleep (plus the driver warmup) lets the writes'
-// full-acks and validate broadcasts land before measurement begins.
-func prefillLatency(c *kite.Cluster, o KiteOpts) {
-	nodes := c.Nodes()
-	var wg sync.WaitGroup
-	for n := 0; n < nodes; n++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			s := c.Session(n, 0)
-			val := make([]byte, o.ValLen)
-			rand.New(rand.NewSource(int64(n + 1))).Read(val)
-			sem := make(chan struct{}, o.Window)
-			for k := uint64(n); k < o.Keys; k += uint64(nodes) {
-				sem <- struct{}{}
-				s.DoAsync(kite.Op{Code: kite.OpWrite, Key: k, Value: val},
-					func(kite.Result) { <-sem })
-			}
-			for i := 0; i < cap(sem); i++ {
-				sem <- struct{}{}
-			}
-		}(n)
-	}
-	wg.Wait()
-	time.Sleep(100 * time.Millisecond)
-}
-
-// driveLatencySession is driveSession with timing: the completion callback
-// computes the elapsed time and hands it back through the window channel,
-// so the sample slice is touched only by this goroutine.
-func driveLatencySession(s kite.Session, o KiteOpts, seed int64,
-	counting, stop *atomic.Bool) []latSample {
-
-	rng := rand.New(rand.NewSource(seed))
-	th := o.Mix.thresholds()
-	val := make([]byte, o.ValLen)
-	rng.Read(val)
-
-	var samples []latSample
-	slots := make(chan latSample, o.Window)
-	collect := func(sm latSample) {
-		if sm.d >= 0 {
-			samples = append(samples, sm)
-		}
-	}
-	inflight := 0
-	for {
-		if stop.Load() {
-			for ; inflight > 0; inflight-- {
-				collect(<-slots)
-			}
-			return samples
-		}
-		if inflight == o.Window {
-			collect(<-slots)
-			inflight--
-		}
-		op := kite.Op{Code: codeFor(th.pick(rng.Float64())), Key: rng.Uint64() % o.Keys}
-		switch op.Code {
-		case kite.OpWrite, kite.OpRelease:
-			op.Value = val
-		case kite.OpFAA:
-			op.Delta = 1
-		}
-		class := op.Code
-		measured := counting.Load()
-		issued := time.Now()
-		s.DoAsync(op, func(r kite.Result) {
-			d := time.Duration(-1) // sentinel: not measured
-			if r.Err == nil && measured {
-				d = time.Since(issued)
-			}
-			slots <- latSample{class: class, d: d}
-		})
-		inflight++
-	}
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kite"
@@ -18,53 +16,18 @@ import (
 // (config commit + catch-up sweep), and the dip each handoff costs — the
 // membership counterpart of the recovery study's kill/rejoin timeline.
 
-// ReconfigOpts parameterises the reconfiguration study.
+// ReconfigOpts parameterises the reconfiguration study; Load.Measure is the
+// sampled span.
 type ReconfigOpts struct {
 	Options kite.Options
-	Mix     Mix
-	Keys    uint64
-	ValLen  int
-	Window  int
+	Load
 	// Prefill writes (and fences) this many keys before the run so the
 	// joiner's sweep transfers a real store.
 	Prefill int
-	Warmup  time.Duration
-	Total   time.Duration // sampled portion of the run
-	Sample  time.Duration
 	// AddAt / RemoveAt are the offsets of AddNode and RemoveNode within
-	// the sampled window; RemoveNode removes replica 0.
+	// the sampled span; RemoveNode removes replica 0.
 	AddAt    time.Duration
 	RemoveAt time.Duration
-}
-
-func (o *ReconfigOpts) defaults() {
-	if o.Keys == 0 {
-		o.Keys = 1 << 16
-	}
-	if o.ValLen == 0 {
-		o.ValLen = 32
-	}
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.Prefill == 0 {
-		o.Prefill = 1 << 14
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 150 * time.Millisecond
-	}
-	if o.Total == 0 {
-		o.Total = 900 * time.Millisecond
-	}
-	if o.Sample == 0 {
-		o.Sample = 20 * time.Millisecond
-	}
-	if o.AddAt == 0 {
-		o.AddAt = 150 * time.Millisecond
-	}
-	if o.RemoveAt == 0 {
-		o.RemoveAt = 500 * time.Millisecond
-	}
 }
 
 // ReconfigOutcome summarises a reconfiguration run.
@@ -95,129 +58,60 @@ func RunReconfigStudy(o ReconfigOpts) (ReconfigOutcome, error) {
 	}
 	defer c.Close()
 	boot := c.Nodes()
-
-	// Prefill through a survivor, fenced, so the joiner's sweep has a full
-	// store to move.
-	pre := c.Session(1, 0)
-	var pending sync.WaitGroup
-	for i := 0; i < o.Prefill; i++ {
-		pending.Add(1)
-		val := []byte(fmt.Sprintf("prefill-%d", i))
-		pre.DoAsync(kite.WriteOp(uint64(i)%o.Keys, val), func(kite.Result) { pending.Done() })
-		if i%1024 == 1023 {
-			pending.Wait()
-		}
-	}
-	pending.Wait()
-	if _, err := pre.Do(context.Background(), kite.FlushOp()); err != nil {
+	if err := prefill(c.Session(1, 0), o.Prefill, o.Keys); err != nil {
 		return ReconfigOutcome{}, err
 	}
 
-	var stop, counting atomic.Bool
-	counted := make([]atomic.Uint64, boot+1)
-	var wg sync.WaitGroup
-	startDriver := func(n int, s kite.Session, seed int64) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ko := KiteOpts{Mix: o.Mix, Keys: o.Keys, ValLen: o.ValLen, Window: o.Window}
-			ko.defaults()
-			driveVictimAware(s, ko, seed, &counting, &stop, &counted[n])
-		}()
-	}
-	// Drivers on replicas 1..n-1 only: replica 0 is the one removed later.
+	t := newTimeline(c, o.Load, boot+1)
 	for n := 1; n < boot; n++ {
-		for si := 0; si < c.SessionsPerNode(); si++ {
-			startDriver(n, c.Session(n, si), int64(n*1000+si+11))
-		}
+		t.drive(n)
 	}
-	counting.Store(true)
-	time.Sleep(o.Warmup)
-
 	out := ReconfigOutcome{}
-	var opsWG sync.WaitGroup
-	var opsErr error
-	var joinedAt time.Duration // timeline offset at which the joiner served
-	added, removed := false, false
-	var timeline []TimePoint
-	prev := snapshotCounts(counted)
-	start := time.Now()
-	for elapsed := time.Duration(0); elapsed < o.Total; {
-		time.Sleep(o.Sample)
-		now := time.Since(start)
-		cur := snapshotCounts(counted)
-		tp := TimePoint{At: now, PerNode: make([]float64, len(counted))}
-		dt := (now - elapsed).Seconds()
-		for i := range counted {
-			tp.PerNode[i] = float64(cur[i]-prev[i]) / dt / 1e6
-			tp.Total += tp.PerNode[i]
-		}
-		timeline = append(timeline, tp)
-		prev = cur
-		elapsed = now
-		if !added && elapsed >= o.AddAt {
-			added = true
-			opsWG.Add(1)
-			go func() {
-				defer opsWG.Done()
-				t0 := time.Now()
-				id, err := c.AddNode()
-				if err != nil {
-					opsErr = fmt.Errorf("AddNode: %w", err)
-					return
-				}
-				if !c.AwaitRejoin(id, time.Minute) {
-					opsErr = fmt.Errorf("joiner still catching up after 1m")
-					return
-				}
-				out.JoinTime = time.Since(t0)
-				joinedAt = time.Since(start)
-				st := c.NodeCatchup(id)
-				out.SweptItems, out.AppliedItems = st.Pulled, st.Applied
-				for si := 0; si < c.SessionsPerNode(); si++ {
-					startDriver(id, c.Session(id, si), int64(id*1000+si+77))
-				}
-			}()
-		}
-		if added && !removed && elapsed >= o.RemoveAt {
-			opsWG.Wait() // the add must land first (serialized handoffs)
-			if opsErr != nil {
-				break
+	tl, err := t.run(
+		step{o.AddAt, func() error {
+			t0 := time.Now()
+			id, err := c.AddNode()
+			if err != nil {
+				return fmt.Errorf("AddNode: %w", err)
 			}
-			removed = true
-			opsWG.Add(1)
-			go func() {
-				defer opsWG.Done()
-				if err := c.RemoveNode(0); err != nil {
-					opsErr = fmt.Errorf("RemoveNode: %w", err)
-				}
-			}()
-		}
-	}
-	opsWG.Wait()
-	stop.Store(true)
-	wg.Wait()
-	if opsErr != nil {
-		return ReconfigOutcome{}, opsErr
+			if !c.AwaitRejoin(id, time.Minute) {
+				return fmt.Errorf("joiner still catching up after 1m")
+			}
+			out.JoinTime = time.Since(t0)
+			st := c.NodeCatchup(id)
+			out.SweptItems, out.AppliedItems = st.Pulled, st.Applied
+			t.drive(id)
+			return nil
+		}},
+		step{o.RemoveAt, func() error {
+			if err := c.RemoveNode(0); err != nil {
+				return fmt.Errorf("RemoveNode: %w", err)
+			}
+			return nil
+		}},
+	)
+	if err != nil {
+		return ReconfigOutcome{}, err
 	}
 
-	out.Timeline = timeline
+	out.Timeline = tl
 	m := c.Members()
 	out.FinalEpoch, out.FinalMembers = m.Epoch, m.Nodes
-	var preP, fourP, postP []TimePoint
-	for _, tp := range timeline {
+	joinedAt := o.AddAt + out.JoinTime
+	var pre, four, post []TimePoint
+	for _, tp := range tl {
 		switch {
 		case tp.At < o.AddAt:
-			preP = append(preP, tp)
+			pre = append(pre, tp)
 		case tp.At > joinedAt+30*time.Millisecond && tp.At < o.RemoveAt:
-			fourP = append(fourP, tp)
+			four = append(four, tp)
 		case tp.At > o.RemoveAt+50*time.Millisecond:
-			postP = append(postP, tp)
+			post = append(post, tp)
 		}
 	}
-	out.PreAdd = avgTotal(preP)
-	out.FourMembers = avgTotal(fourP)
-	out.PostRemove = avgTotal(postP)
+	out.PreAdd = avgTotal(pre)
+	out.FourMembers = avgTotal(four)
+	out.PostRemove = avgTotal(post)
 	return out, nil
 }
 
@@ -242,24 +136,23 @@ type ReconfigReport struct {
 	FinalMembers []int         `json:"final_members"`
 }
 
-// FigureReconfig runs the reconfiguration study, prints the timeline and
-// summary, and returns the machine-readable report.
+// FigureReconfig runs the reconfiguration study (prefill 0 = 2^14 keys),
+// prints the timeline and summary, and returns the machine-readable report.
 func FigureReconfig(fc FigureConfig, prefill int) (*ReconfigReport, error) {
 	opts := ReconfigOpts{
-		Options: fc.kiteOptions(),
-		Mix:     Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-		Keys:    fc.Keys,
-		Prefill: prefill,
-		Warmup:  fc.Warmup,
+		Options:  fc.kiteOptions(),
+		Load:     fc.timelineLoad(),
+		Prefill:  cmp.Or(prefill, 1<<14),
+		AddAt:    150 * time.Millisecond,
+		RemoveAt: 500 * time.Millisecond,
 	}
-	opts.defaults() // resolve the knobs the report pins
 	out, err := RunReconfigStudy(opts)
 	if err != nil {
 		return nil, err
 	}
 	fc.printf("# Reconfiguration study: AddNode at %v, RemoveNode(0) at %v\n",
 		opts.AddAt, opts.RemoveAt)
-	fc.printf("%s", FormatTimeline(FailureOutcome{Timeline: out.Timeline}, 0))
+	fc.printf("%s", FormatTimeline(out.Timeline, 0))
 	fc.printf("\npre-add total (3):    %8.3f mreqs\n", out.PreAdd)
 	fc.printf("four members:         %8.3f mreqs\n", out.FourMembers)
 	fc.printf("post-remove total (3):%8.3f mreqs\n", out.PostRemove)
@@ -273,7 +166,7 @@ func FigureReconfig(fc FigureConfig, prefill int) (*ReconfigReport, error) {
 		Sessions:     fc.SessionsPerWorker,
 		Keys:         fc.Keys,
 		Prefill:      opts.Prefill,
-		Total:        opts.Total,
+		Total:        opts.Measure,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		PreAdd:       out.PreAdd,
 		FourMembers:  out.FourMembers,

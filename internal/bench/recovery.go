@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"context"
+	"cmp"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kite"
@@ -20,49 +17,17 @@ import (
 // throughput timeline across the kill and rejoin, the catch-up duration,
 // and how much state the sweep moved.
 
-// RecoveryOpts parameterises the recovery study.
+// RecoveryOpts parameterises the recovery study; Load.Measure is the
+// sampled span.
 type RecoveryOpts struct {
 	Options kite.Options
-	Mix     Mix // like Figure 9: 5% writes, 5% synchronisation
-	Keys    uint64
-	ValLen  int
-	Window  int
+	Load    // like Figure 9: 5% writes, 5% synchronisation
 	// Prefill writes (and fences) this many keys before the run so the
 	// victim's sweep has a real store to transfer, not just the warmup's
 	// footprint.
 	Prefill     int
-	Warmup      time.Duration
-	Total       time.Duration // sampled portion of the run
-	Sample      time.Duration
 	RestartNode int
-	RestartAt   time.Duration // offset of the kill within the sampled window
-}
-
-func (o *RecoveryOpts) defaults() {
-	if o.Keys == 0 {
-		o.Keys = 1 << 16
-	}
-	if o.ValLen == 0 {
-		o.ValLen = 32
-	}
-	if o.Window == 0 {
-		o.Window = 8
-	}
-	if o.Prefill == 0 {
-		o.Prefill = 1 << 14
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 150 * time.Millisecond
-	}
-	if o.Total == 0 {
-		o.Total = 900 * time.Millisecond
-	}
-	if o.Sample == 0 {
-		o.Sample = 20 * time.Millisecond
-	}
-	if o.RestartAt == 0 {
-		o.RestartAt = 150 * time.Millisecond
-	}
+	RestartAt   time.Duration // offset of the kill within the sampled span
 }
 
 // RecoveryOutcome summarises a recovery run.
@@ -79,9 +44,9 @@ type RecoveryOutcome struct {
 }
 
 // RunRecoveryStudy kills and rejoins one replica under a steady mixed
-// workload. The victim's drivers stop at the kill and resume — on fresh
-// sessions of the new incarnation — once its catch-up completes; everyone
-// else's sessions drive straight through the outage.
+// workload. The victim's drivers stop at their first failed op and resume —
+// on fresh sessions of the new incarnation — once its catch-up completes;
+// everyone else's sessions drive straight through the outage.
 func RunRecoveryStudy(o RecoveryOpts) (RecoveryOutcome, error) {
 	o.defaults()
 	c, err := kite.NewCluster(o.Options)
@@ -89,204 +54,57 @@ func RunRecoveryStudy(o RecoveryOpts) (RecoveryOutcome, error) {
 		return RecoveryOutcome{}, err
 	}
 	defer c.Close()
-	nodes := c.Nodes()
 	victim := o.RestartNode
-
-	// Prefill: give the victim's future sweep a store worth transferring,
-	// fully replicated so it is all at the surviving peers.
-	pre := c.Session((victim+1)%nodes, 0)
-	var pending sync.WaitGroup
-	for i := 0; i < o.Prefill; i++ {
-		pending.Add(1)
-		val := []byte(fmt.Sprintf("prefill-%d", i))
-		pre.DoAsync(kite.WriteOp(uint64(i)%o.Keys, val), func(kite.Result) { pending.Done() })
-		if i%1024 == 1023 {
-			pending.Wait() // bounded outstanding prefill
-		}
-	}
-	pending.Wait()
-	if _, err := pre.Do(context.Background(), kite.FlushOp()); err != nil {
+	if err := prefill(c.Session((victim+1)%c.Nodes(), 0), o.Prefill, o.Keys); err != nil {
 		return RecoveryOutcome{}, err
 	}
 
-	var stop, stopVictim, counting atomic.Bool
-	counted := make([]atomic.Uint64, nodes)
-	var wg sync.WaitGroup
-	startDriver := func(n int, s kite.Session, seed int64, st *atomic.Bool) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ko := KiteOpts{Mix: o.Mix, Keys: o.Keys, ValLen: o.ValLen, Window: o.Window}
-			ko.defaults()
-			driveVictimAware(s, ko, seed, &counting, st, &counted[n])
-		}()
+	t := newTimeline(c, o.Load, c.Nodes())
+	for n := range c.Nodes() {
+		t.drive(n)
 	}
-	for n := 0; n < nodes; n++ {
-		st := &stop
-		if n == victim {
-			st = &stopVictim
-		}
-		for si := 0; si < c.SessionsPerNode(); si++ {
-			startDriver(n, c.Session(n, si), int64(n*1000+si+11), st)
-		}
-	}
-	counting.Store(true)
-	time.Sleep(o.Warmup)
-
 	out := RecoveryOutcome{}
-	var restartWG sync.WaitGroup
-	var restartErr error
-	restarted := false
-	var timeline []TimePoint
-	prev := snapshotCounts(counted)
-	start := time.Now()
-	for elapsed := time.Duration(0); elapsed < o.Total; {
-		time.Sleep(o.Sample)
-		now := time.Since(start)
-		cur := snapshotCounts(counted)
-		tp := TimePoint{At: now, PerNode: make([]float64, nodes)}
-		dt := (now - elapsed).Seconds()
-		for i := 0; i < nodes; i++ {
-			tp.PerNode[i] = float64(cur[i]-prev[i]) / dt / 1e6
-			tp.Total += tp.PerNode[i]
+	tl, err := t.run(step{o.RestartAt, func() error {
+		killed := time.Now()
+		c.StopNode(victim)
+		if err := c.RestartNode(victim); err != nil {
+			return err
 		}
-		timeline = append(timeline, tp)
-		prev = cur
-		elapsed = now
-		if !restarted && elapsed >= o.RestartAt {
-			restarted = true
-			restartWG.Add(1)
-			go func() {
-				defer restartWG.Done()
-				// Retire the victim's drivers, then kill and rejoin it.
-				stopVictim.Store(true)
-				killed := time.Now()
-				c.StopNode(victim)
-				if err := c.RestartNode(victim); err != nil {
-					restartErr = err
-					return
-				}
-				if !c.AwaitRejoin(victim, time.Minute) {
-					restartErr = fmt.Errorf("victim still catching up after 1m")
-					return
-				}
-				out.CatchupTime = time.Since(killed)
-				out.Catchup = c.NodeCatchup(victim)
-				// Resume load on the new incarnation's sessions.
-				for si := 0; si < c.SessionsPerNode(); si++ {
-					startDriver(victim, c.Session(victim, si), int64(victim*1000+si+77), &stop)
-				}
-			}()
+		if !c.AwaitRejoin(victim, time.Minute) {
+			return fmt.Errorf("victim still catching up after 1m")
 		}
-	}
-	restartWG.Wait()
-	stop.Store(true)
-	stopVictim.Store(true)
-	wg.Wait()
-	if restartErr != nil {
-		return RecoveryOutcome{}, restartErr
+		out.CatchupTime = time.Since(killed)
+		out.Catchup = c.NodeCatchup(victim)
+		t.drive(victim)
+		return nil
+	}})
+	if err != nil {
+		return RecoveryOutcome{}, err
 	}
 
-	out.Timeline = timeline
+	out.Timeline = tl
+	// The outage period is every sample overlapping [kill, rejoin], so it is
+	// never empty however short the catch-up.
 	rejoinAt := o.RestartAt + out.CatchupTime
-	var pre2, mid, post []TimePoint
-	for _, tp := range timeline {
+	var pre, mid, post []TimePoint
+	for i, tp := range tl {
+		var from time.Duration
+		if i > 0 {
+			from = tl[i-1].At
+		}
 		switch {
 		case tp.At < o.RestartAt:
-			pre2 = append(pre2, tp)
-		case tp.At < rejoinAt:
+			pre = append(pre, tp)
+		case from < rejoinAt:
 			mid = append(mid, tp)
 		case tp.At > rejoinAt+50*time.Millisecond:
 			post = append(post, tp)
 		}
 	}
-	out.PreRestart = avgTotal(pre2)
+	out.PreRestart = avgTotal(pre)
 	out.Intermediate = avgTotal(mid)
 	out.PostRejoin = avgTotal(post)
 	return out, nil
-}
-
-// driveVictimAware is driveSession with one difference: operations may FAIL
-// (ErrStopped) when the driven node is killed mid-flight, and the driver
-// must treat that as its stop signal rather than spin on a dead session.
-func driveVictimAware(s kite.Session, o KiteOpts, seed int64,
-	counting, stop *atomic.Bool, counted *atomic.Uint64) {
-
-	var dead atomic.Bool
-	driveSessionUntil(&victimSession{Session: s, dead: &dead}, o, seed, counting, stop, &dead, counted)
-}
-
-// victimSession wraps a Session, flagging the first ErrStopped so the
-// driver winds down instead of hammering a dead node.
-type victimSession struct {
-	kite.Session
-	dead *atomic.Bool
-}
-
-func (v *victimSession) DoAsync(op kite.Op, cb func(kite.Result)) {
-	v.Session.DoAsync(op, func(r kite.Result) {
-		if r.Err != nil {
-			v.dead.Store(true)
-		}
-		if cb != nil {
-			cb(r)
-		}
-	})
-}
-
-// driveSessionUntil is the closed-loop driver of driveSession with an
-// extra termination flag (the victim's death).
-func driveSessionUntil(s kite.Session, o KiteOpts, seed int64,
-	counting, stop, dead *atomic.Bool, counted *atomic.Uint64) {
-
-	rng := rand.New(rand.NewSource(seed))
-	th := o.Mix.thresholds()
-	val := make([]byte, o.ValLen)
-	rng.Read(val)
-	// Audited runs need per-op unique written values (the checker's census
-	// assumption); unaudited runs keep the zero-allocation reused buffer.
-	uniq := uint64(0)
-	nextVal := func() []byte {
-		if o.AuditSample <= 0 {
-			return val
-		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		uniq++
-		for i, x := 0, uniq; i < len(v) && i < 8; i, x = i+1, x>>8 {
-			v[i] = byte(x)
-		}
-		return v
-	}
-
-	slots := make(chan struct{}, o.Window)
-	inflight := 0
-	for {
-		if stop.Load() || dead.Load() {
-			for ; inflight > 0; inflight-- {
-				<-slots
-			}
-			return
-		}
-		if inflight == o.Window {
-			<-slots
-			inflight--
-		}
-		op := kite.Op{Code: codeFor(th.pick(rng.Float64())), Key: rng.Uint64() % o.Keys}
-		switch op.Code {
-		case kite.OpWrite, kite.OpRelease:
-			op.Value = nextVal()
-		case kite.OpFAA:
-			op.Delta = 1
-		}
-		s.DoAsync(op, func(r kite.Result) {
-			if r.Err == nil && counting.Load() {
-				counted.Add(1)
-			}
-			slots <- struct{}{}
-		})
-		inflight++
-	}
 }
 
 // RecoveryReport is the machine-readable output of FigureRecovery — the
@@ -308,25 +126,23 @@ type RecoveryReport struct {
 	AppliedItems  uint64        `json:"applied_items"`
 }
 
-// FigureRecovery runs the recovery study, prints the timeline and summary,
-// and returns the machine-readable report.
+// FigureRecovery runs the recovery study (prefill 0 = 2^14 keys), prints
+// the timeline and summary, and returns the machine-readable report.
 func FigureRecovery(fc FigureConfig, prefill int) (*RecoveryReport, error) {
 	opts := RecoveryOpts{
 		Options:     fc.kiteOptions(),
-		Mix:         Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-		Keys:        fc.Keys,
-		Prefill:     prefill,
-		Warmup:      fc.Warmup,
+		Load:        fc.timelineLoad(),
+		Prefill:     cmp.Or(prefill, 1<<14),
 		RestartNode: fc.Nodes - 1,
+		RestartAt:   150 * time.Millisecond,
 	}
-	opts.defaults() // resolve the knobs the report pins
 	out, err := RunRecoveryStudy(opts)
 	if err != nil {
 		return nil, err
 	}
 	fc.printf("# Recovery study: node %d killed at %v, rejoins via catch-up\n",
 		fc.Nodes-1, opts.RestartAt)
-	fc.printf("%s", FormatTimeline(FailureOutcome{Timeline: out.Timeline}, fc.Nodes-1))
+	fc.printf("%s", FormatTimeline(out.Timeline, fc.Nodes-1))
 	fc.printf("\npre-restart total:   %8.3f mreqs\n", out.PreRestart)
 	fc.printf("down/catching-up:    %8.3f mreqs (surviving majority keeps serving)\n", out.Intermediate)
 	fc.printf("post-rejoin total:   %8.3f mreqs\n", out.PostRejoin)
@@ -339,7 +155,7 @@ func FigureRecovery(fc FigureConfig, prefill int) (*RecoveryReport, error) {
 		Sessions:      fc.SessionsPerWorker,
 		Keys:          fc.Keys,
 		Prefill:       opts.Prefill,
-		Total:         opts.Total,
+		Total:         opts.Measure,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		PreRestart:    out.PreRestart,
 		Intermediate:  out.Intermediate,

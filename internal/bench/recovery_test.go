@@ -12,11 +12,9 @@ import (
 func TestRunRecoveryStudySmoke(t *testing.T) {
 	out, err := RunRecoveryStudy(RecoveryOpts{
 		Options: smokeOptions(),
-		Mix:     Mix{WriteRatio: 0.05, SyncFrac: 0.05},
-		Keys:    1 << 10, Window: smokeWindow(), Prefill: 1 << 9,
-		Warmup: 30 * time.Millisecond,
-		Total:  300 * time.Millisecond, Sample: 20 * time.Millisecond,
-		RestartNode: 2, RestartAt: 60 * time.Millisecond,
+		Load: Load{Mix: Mix{WriteRatio: 0.05, SyncFrac: 0.05}, Keys: 1 << 10, Window: smokeWindow(),
+			Warmup: 30 * time.Millisecond, Measure: 300 * time.Millisecond},
+		Prefill: 1 << 9, RestartNode: 2, RestartAt: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

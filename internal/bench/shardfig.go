@@ -88,8 +88,7 @@ func FigureShard(fc FigureConfig, totalNodes int, groups []int) (*ShardReport, e
 		for _, s := range series {
 			res, err := RunKite(KiteOpts{
 				Name:    fmt.Sprintf("shard-%s-g%d", s.name, g),
-				Options: opts, Groups: g, Mix: s.mix,
-				Keys: fc.Keys, Warmup: fc.Warmup, Measure: fc.Measure,
+				Options: opts, Groups: g, Load: fc.load(s.mix),
 			})
 			if err != nil {
 				return nil, err

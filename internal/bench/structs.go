@@ -34,7 +34,6 @@ func (k StructKind) String() string {
 
 // StructOpts parameterises a Figure-8 run.
 type StructOpts struct {
-	Name    string
 	Kind    StructKind
 	Fields  int // payload fields per object (4 or 32 in the paper)
 	Options kite.Options
@@ -49,37 +48,16 @@ type StructOpts struct {
 	WeakCAS bool
 	Warmup  time.Duration
 	Measure time.Duration
-	// ListKeys bounds HML sort-key range per list.
-	ListKeys uint64
 }
 
-func (o *StructOpts) defaults() {
-	if o.Fields == 0 {
-		o.Fields = 4
-	}
-	if o.Structs == 0 {
-		o.Structs = 64
-	}
-	if o.SessionsPerNode == 0 {
-		o.SessionsPerNode = 8
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 100 * time.Millisecond
-	}
-	if o.Measure == 0 {
-		o.Measure = 500 * time.Millisecond
-	}
-	if o.ListKeys == 0 {
-		o.ListKeys = 16
-	}
-}
+// listKeys bounds the HML sort-key range per list.
+const listKeys = 16
 
 // StructResult reports a Figure-8 measurement: structure operations per
 // second (one op = push+pop pair, enqueue+dequeue pair, or insert+delete
 // pair) plus the underlying Kite API request counts, which give the
 // sync-per metric (§8.3) and the ZAB-ideal conversion factors.
 type StructResult struct {
-	Name     string
 	Ops      uint64 // structure op pairs completed
 	Duration time.Duration
 	// APICalls counts Kite API requests issued during the whole run, for
@@ -126,7 +104,6 @@ func (r StructResult) SyncPer() float64 {
 
 // RunStructs measures one Figure-8 workload.
 func RunStructs(o StructOpts) (StructResult, error) {
-	o.defaults()
 	c, err := kite.NewCluster(o.Options)
 	if err != nil {
 		return StructResult{}, err
@@ -205,7 +182,7 @@ func RunStructs(o StructOpts) (StructResult, error) {
 							l = dstruct.NewList(sess, anchor(inst), o.Fields, instOwner, o.WeakCAS)
 							lists[inst] = l
 						}
-						err = listPair(l, o, rng, fields)
+						err = listPair(l, rng, fields)
 					}
 					if err != nil {
 						firstErr.CompareAndSwap(nil, err)
@@ -219,22 +196,20 @@ func RunStructs(o StructOpts) (StructResult, error) {
 		}
 	}
 
-	time.Sleep(o.Warmup)
-	before := apiCounts(c)
-	counting.Store(true)
-	start := time.Now()
-	time.Sleep(o.Measure)
-	counting.Store(false)
-	elapsed := time.Since(start)
-	after := apiCounts(c)
+	var api [][4]uint64 // at both edges of the counted window
+	elapsed := measure(Load{Warmup: o.Warmup, Measure: o.Measure}, func(on bool) {
+		counting.Store(on)
+		api = append(api, apiCounts(c))
+	})
 	stop.Store(true)
 	wg.Wait()
 	if err, ok := firstErr.Load().(error); ok && err != nil {
 		return StructResult{}, err
 	}
 
+	before, after := api[0], api[1]
 	return StructResult{
-		Name: o.Name, Ops: pairs.Load(), Duration: elapsed,
+		Ops: pairs.Load(), Duration: elapsed,
 		APIReads:  after[0] - before[0],
 		APIWrites: after[1] - before[1],
 		APISync:   after[2] - before[2],
@@ -279,8 +254,8 @@ func queuePair(q *dstruct.Queue, o StructOpts, fields [][]byte) error {
 	return nil
 }
 
-func listPair(l *dstruct.List, o StructOpts, rng *rand.Rand, fields [][]byte) error {
-	k := 1 + rng.Uint64()%o.ListKeys
+func listPair(l *dstruct.List, rng *rand.Rand, fields [][]byte) error {
+	k := 1 + rng.Uint64()%listKeys
 	if _, err := l.Insert(k, fields); err != nil {
 		return err
 	}

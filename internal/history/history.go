@@ -57,8 +57,8 @@ type Event struct {
 	// Index is the event's position in its session's submission order.
 	Index int `json:"i"`
 	// Op is the kite operation code.
-	Op kite.OpCode `json:"op"`
-	Key uint64     `json:"k"`
+	Op  kite.OpCode `json:"op"`
+	Key uint64      `json:"k"`
 	// Arg is the written value (write/release) or the CAS new value.
 	Arg []byte `json:"arg,omitempty"`
 	// Expected is the CAS comparand.
@@ -209,7 +209,9 @@ func (l *Log) Snapshot() *Recorded {
 		s.mu.Lock()
 		for _, e := range s.events {
 			if e.Complete < 0 {
-				e.Complete = now
+				// An op invoked after now was read is still pending here:
+				// it cannot complete before its own invoke.
+				e.Complete = max(now, e.Invoke)
 				e.Outcome = OutcomeMaybe
 				e.Err = "incomplete at snapshot"
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"kite"
 )
@@ -159,5 +160,20 @@ func TestSnapshotClosesPending(t *testing.T) {
 	}
 	if e := rec.Events[0]; e.Outcome != OutcomeMaybe || e.Complete < e.Invoke {
 		t.Fatalf("pending event closed as %+v", e)
+	}
+}
+
+// TestSnapshotPendingInvokedAfterClockRead: Snapshot reads its clock before
+// it takes the session locks, so an op can be invoked in between. Stamping
+// that op's invoke a second past the snapshot's clock read replays the
+// race deterministically; the closed interval must still be ordered.
+func TestSnapshotPendingInvokedAfterClockRead(t *testing.T) {
+	log := New()
+	s := &sessionLog{id: 0}
+	log.sessions = append(log.sessions, s)
+	s.begin(log.now()+int64(time.Second), kite.WriteOp(1, []byte("late")), -1)
+	rec := log.Snapshot()
+	if e := rec.Events[0]; e.Outcome != OutcomeMaybe || e.Complete < e.Invoke {
+		t.Fatalf("late pending event closed as [%d, %d]: %+v", e.Invoke, e.Complete, e)
 	}
 }

@@ -151,10 +151,12 @@ func TestShardedBatchSplitsPerGroup(t *testing.T) {
 
 // TestCrossShardFenceAfterSlowRelease is the end-to-end regression for the
 // DM-set interaction: an in-group slow release in group A (one group-A
-// replica asleep) settles the producer's writes; the following cross-shard
+// replica cut off) settles the producer's writes; the following cross-shard
 // release in group B must STILL wait for the sleeper's real acks, because
 // the consumer acquires only in group B and would otherwise read group A's
-// stale replica forever.
+// stale replica forever. The sleeper is a network isolation healed after
+// nap rather than a PauseNode: a paused worker parked in its idle wait can
+// still answer the batch that wakes it, so a pause may ack both releases.
 func TestCrossShardFenceAfterSlowRelease(t *testing.T) {
 	c := newTestCluster(t, 2)
 	m := shard.NewMap(2)
@@ -163,17 +165,24 @@ func TestCrossShardFenceAfterSlowRelease(t *testing.T) {
 	kB := keyInGroup(t, m, 1, 2000)  // cross-shard flag: group B
 
 	const nap = 400 * time.Millisecond
-	c.Group(0).PauseNode(2, nap) // only group A's replica on machine 2 sleeps
+	faults := c.Group(0).Faults() // only group A's replica on machine 2 sleeps
+	start := time.Now()
+	faults.IsolateNode(2, true)
+	heal := time.AfterFunc(nap, func() { faults.IsolateNode(2, false) })
+	defer heal.Stop()
 
 	prod := c.Session(0, 0)
 	defer prod.Close()
-	start := time.Now()
 	if err := prod.Write(kA, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	// In-group release: completes promptly via the DM-set slow path.
+	slowBefore := c.Group(0).NodeStats(0).SlowReleases
 	if err := prod.ReleaseWrite(kA2, []byte("local")); err != nil {
 		t.Fatal(err)
+	}
+	if slow := c.Group(0).NodeStats(0).SlowReleases - slowBefore; slow != 1 {
+		t.Fatalf("in-group release took %d slow releases, want 1 (the DM-set slow path)", slow)
 	}
 	if since := time.Since(start); since > nap/2 {
 		t.Fatalf("in-group release took %v; expected the DM-set slow path", since)
