@@ -67,13 +67,13 @@ func (op *acquireOp) request() *Request       { return op.req }
 func (op *acquireOp) nextDeadline() time.Time { return op.retryAt }
 func (op *acquireOp) onTrackerUpdate(*Worker) {}
 
-func (op *acquireOp) onMessage(w *Worker, m *proto.Message) {
+func (op *acquireOp) onMessage(w *Worker, m proto.Message) {
 	var act abd.ReadAction
 	switch m.Kind {
 	case proto.KindReadReply:
-		act = op.rd.OnReadReply(m)
+		act = op.rd.OnReadReply(&m)
 	case proto.KindABDWriteAck:
-		act = op.rd.OnWriteAck(m)
+		act = op.rd.OnWriteAck(&m)
 	default:
 		return
 	}

@@ -69,12 +69,12 @@ type catchupOp struct {
 
 func (op *catchupOp) nextDeadline() time.Time { return op.retryAt }
 
-func (op *catchupOp) onMessage(w *Worker, m *proto.Message) {
+func (op *catchupOp) onMessage(w *Worker, m proto.Message) {
 	nd := w.node
 	switch m.Kind {
 	case proto.KindCatchupItem:
 		nd.catchupPulled.Add(1)
-		if catchup.ApplyItem(nd.Store, m) {
+		if catchup.ApplyItem(nd.Store, &m) {
 			nd.catchupApplied.Add(1)
 		}
 	case proto.KindCatchupEnd:

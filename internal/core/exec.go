@@ -72,11 +72,11 @@ func (op *slowReadOp) request() *Request       { return op.req }
 func (op *slowReadOp) nextDeadline() time.Time { return op.retryAt }
 func (op *slowReadOp) onTrackerUpdate(*Worker) {}
 
-func (op *slowReadOp) onMessage(w *Worker, m *proto.Message) {
+func (op *slowReadOp) onMessage(w *Worker, m proto.Message) {
 	if m.Kind != proto.KindReadReply {
 		return
 	}
-	if op.rd.OnReadReply(m) != abd.ReadComplete {
+	if op.rd.OnReadReply(&m) != abd.ReadComplete {
 		return
 	}
 	op.finish(w)
@@ -148,15 +148,42 @@ func (w *Worker) trackWrite(s *Session, key uint64, val []byte, st llc.Stamp) {
 		// throttling the session against MaxPendingWrites forever.
 		return
 	}
-	op := &esWriteOp{id: w.nextOpID(s), sess: s, retryAt: w.now.Add(w.node.cfg.RetryInterval)}
-	n := copy(op.valBuf[:], val)
+	w.broadcastWrite(s, w.nextOpID(s), key, val, st)
+}
+
+// broadcastWrite ledgers write id of session s in its tracker, registers
+// the esWriteOp that gathers its acks (recycled from freeES when one is
+// free) and broadcasts it to the remote members.
+func (w *Worker) broadcastWrite(s *Session, id, key uint64, val []byte, st llc.Stamp) {
+	var op *esWriteOp
+	if n := len(w.freeES); n > 0 {
+		op, w.freeES = w.freeES[n-1], w.freeES[:n-1]
+	} else {
+		op = new(esWriteOp)
+	}
+	op.id, op.sess, op.retryAt = id, s, w.now.Add(w.node.cfg.RetryInterval)
 	op.msg = proto.Message{
 		Kind: proto.KindESWrite, From: w.node.ID, Worker: w.id,
-		Key: key, OpID: op.id, Stamp: st, Value: op.valBuf[:n],
+		Key: key, OpID: id, Stamp: st, Value: op.valBuf[:copy(op.valBuf[:], val)],
 	}
-	s.tracker.Add(op.id, key, w.node.ID)
-	w.register(op.id, op)
+	s.tracker.Add(id, key, w.node.ID)
+	w.register(id, op)
 	w.broadcastRemote(op.msg)
+}
+
+// maxFreeESWrites bounds a worker's esWriteOp free list. Steady state needs
+// about sessions × MaxPendingWrites; the surplus an outage's settled writes
+// leave behind when they drain is left to the GC.
+const maxFreeESWrites = 4096
+
+// retireESWrite unregisters a write that needs no more acks and keeps its op
+// for the next one. The caller must not touch op afterwards.
+func (w *Worker) retireESWrite(op *esWriteOp) {
+	w.unregister(op.id)
+	if len(w.freeES) < maxFreeESWrites {
+		op.sess = nil
+		w.freeES = append(w.freeES, op)
+	}
 }
 
 // esWriteOp tracks one broadcast relaxed write until every replica acks it
@@ -172,21 +199,22 @@ type esWriteOp struct {
 func (op *esWriteOp) request() *Request       { return nil }
 func (op *esWriteOp) nextDeadline() time.Time { return op.retryAt }
 
-func (op *esWriteOp) onMessage(w *Worker, m *proto.Message) {
+func (op *esWriteOp) onMessage(w *Worker, m proto.Message) {
 	if m.Kind != proto.KindESAck {
 		return
 	}
-	if _, done := op.sess.tracker.Ack(op.id, m.From); done {
+	s := op.sess
+	if _, done := s.tracker.Ack(op.id, m.From); done {
 		// Every current member has acked: the write's (key, stamp) may be
 		// validated cluster-wide for the local-acquire fast path.
 		w.queueValidate(op.msg.Key, op.msg.Stamp)
-		w.unregister(op.id)
-		if op.sess.throttled {
-			op.sess.throttled = false
-			w.enqueueRun(op.sess)
+		w.retireESWrite(op)
+		if s.throttled {
+			s.throttled = false
+			w.enqueueRun(s)
 		}
-		if op.sess.head != nil {
-			op.sess.head.onTrackerUpdate(w)
+		if s.head != nil {
+			s.head.onTrackerUpdate(w)
 		}
 	}
 }
@@ -194,7 +222,7 @@ func (op *esWriteOp) onMessage(w *Worker, m *proto.Message) {
 func (op *esWriteOp) onDeadline(w *Worker, now time.Time) {
 	unacked := op.sess.tracker.Unacked(op.id)
 	if unacked == 0 {
-		w.unregister(op.id)
+		w.retireESWrite(op)
 		return
 	}
 	w.retransmit(op.msg, unacked)
@@ -220,7 +248,7 @@ func (op *slowWriteOp) request() *Request       { return op.req }
 func (op *slowWriteOp) nextDeadline() time.Time { return op.retryAt }
 func (op *slowWriteOp) onTrackerUpdate(*Worker) {}
 
-func (op *slowWriteOp) onMessage(w *Worker, m *proto.Message) {
+func (op *slowWriteOp) onMessage(w *Worker, m proto.Message) {
 	if m.Kind != proto.KindSlowWriteTSR {
 		return
 	}
@@ -263,15 +291,7 @@ func (op *slowWriteOp) complete(w *Worker) {
 		// trackWrite).
 		w.unregister(op.id)
 	} else {
-		esop := &esWriteOp{id: op.id, sess: op.sess, retryAt: w.now.Add(nd.cfg.RetryInterval)}
-		n := copy(esop.valBuf[:], val)
-		esop.msg = proto.Message{
-			Kind: proto.KindESWrite, From: nd.ID, Worker: w.id,
-			Key: op.req.Key, OpID: op.id, Stamp: st, Value: esop.valBuf[:n],
-		}
-		op.sess.tracker.Add(op.id, op.req.Key, nd.ID)
-		w.register(op.id, esop) // replaces this op under the same id
-		w.broadcastRemote(esop.msg)
+		w.broadcastWrite(op.sess, op.id, op.req.Key, val, st) // replaces this op under the same id
 	}
 
 	op.sess.complete(op.req, nil)

@@ -40,10 +40,10 @@ type flushOp struct {
 	req  *Request
 }
 
-func (op *flushOp) request() *Request                 { return op.req }
-func (op *flushOp) nextDeadline() time.Time           { return time.Time{} }
-func (op *flushOp) onDeadline(*Worker, time.Time)     {}
-func (op *flushOp) onMessage(*Worker, *proto.Message) {}
+func (op *flushOp) request() *Request                { return op.req }
+func (op *flushOp) nextDeadline() time.Time          { return time.Time{} }
+func (op *flushOp) onDeadline(*Worker, time.Time)    {}
+func (op *flushOp) onMessage(*Worker, proto.Message) {}
 
 func (op *flushOp) onTrackerUpdate(w *Worker) {
 	if !op.sess.tracker.FullyAcked() {

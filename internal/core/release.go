@@ -74,11 +74,11 @@ func (b *barrierState) barrierOnTimeout(w *Worker, s *Session, opID uint64, now 
 // group's barrier, but OpFlush — the cross-shard fence — still waits for
 // their full replication (es.Tracker.FullyAcked), since the published
 // DM-set is invisible to consumers synchronising in other groups.
-func (b *barrierState) barrierOnSlowAck(w *Worker, s *Session, m *proto.Message) bool {
+func (b *barrierState) barrierOnSlowAck(w *Worker, s *Session, from uint8) bool {
 	if !b.slowSent || b.done {
 		return false
 	}
-	b.slowAcks |= 1 << m.From
+	b.slowAcks |= 1 << from
 	if popcount16(b.slowAcks) < w.node.quorum() {
 		return false
 	}
@@ -165,19 +165,19 @@ func (op *releaseOp) onConfigChange(w *Worker) {
 	op.maybeStartValue(w)
 }
 
-func (op *releaseOp) onMessage(w *Worker, m *proto.Message) {
+func (op *releaseOp) onMessage(w *Worker, m proto.Message) {
 	switch m.Kind {
 	case proto.KindReadTSReply:
-		if op.wr.OnReadTS(m) {
+		if op.wr.OnReadTS(&m) {
 			op.tsQuorum = true
 			op.maybeStartValue(w)
 		}
 	case proto.KindABDWriteAck:
-		if op.started && op.wr.OnWriteAck(m) {
+		if op.started && op.wr.OnWriteAck(&m) {
 			op.finish(w)
 		}
 	case proto.KindSlowReleaseAck:
-		if op.bar.barrierOnSlowAck(w, op.sess, m) {
+		if op.bar.barrierOnSlowAck(w, op.sess, m.From) {
 			op.maybeStartValue(w)
 		}
 	}

@@ -77,7 +77,8 @@ type Request struct {
 	// Err is non-nil only when the node stopped before completion.
 	Err error
 
-	// Done is invoked exactly once on completion.
+	// Done is invoked exactly once on completion, as core's last touch of
+	// the request: Done may recycle it for the next submission.
 	Done func(*Request)
 
 	sess     *Session

@@ -172,20 +172,20 @@ func (op *rmwOp) onConfigChange(w *Worker) {
 	op.react(w, op.prop.Refit(v.N(), v.Quorum(), v.Mask()))
 }
 
-func (op *rmwOp) onMessage(w *Worker, m *proto.Message) {
+func (op *rmwOp) onMessage(w *Worker, m proto.Message) {
 	switch m.Kind {
 	case proto.KindProposeAck:
-		act := op.prop.OnProposeAck(m)
+		act := op.prop.OnProposeAck(&m)
 		op.sendLearns(w)
 		op.react(w, act)
 	case proto.KindAcceptAck:
-		act := op.prop.OnAcceptAck(m)
+		act := op.prop.OnAcceptAck(&m)
 		op.sendLearns(w)
 		op.react(w, act)
 	case proto.KindCommitAck:
-		op.react(w, op.prop.OnCommitAck(m))
+		op.react(w, op.prop.OnCommitAck(&m))
 	case proto.KindSlowReleaseAck:
-		if op.bar.barrierOnSlowAck(w, op.sess, m) {
+		if op.bar.barrierOnSlowAck(w, op.sess, m.From) {
 			op.maybeAccept(w)
 		}
 	}

@@ -20,7 +20,7 @@ type Session struct {
 	tracker *es.Tracker
 
 	// queue holds admitted-but-unissued requests in session order.
-	queue []*Request
+	queue fifo[*Request]
 	// head is the blocking operation in flight (nil if none). Relaxed
 	// writes do not block; releases/acquires/RMWs and slow-path relaxed
 	// accesses do.
@@ -88,8 +88,10 @@ func (s *Session) Submit(r *Request) {
 	}
 }
 
-// complete finishes a request: fills completion counters, fires Done and
-// reschedules the session.
+// complete finishes a request: fills completion counters and fires Done.
+// It is the request's last touch inside core — Done may recycle r at once,
+// so no caller reads or writes r after complete returns (DESIGN.md
+// "Request lifecycle").
 func (s *Session) complete(r *Request, err error) {
 	r.Err = err
 	s.node.completed[r.Code].Add(1)

@@ -14,8 +14,12 @@ import (
 // pendingOp is an in-flight protocol operation owned by a worker, keyed by
 // op id in the worker's ops table. Replies are routed to onMessage; expired
 // deadlines (retransmissions, the release barrier timeout) to onDeadline.
+//
+// onMessage takes the reply by value: it is an interface call, so a pointer
+// argument would move every caller's reply (the loopback ones included) to
+// the heap, one allocation per reply; copying a Message costs less.
 type pendingOp interface {
-	onMessage(w *Worker, m *proto.Message)
+	onMessage(w *Worker, m proto.Message)
 	onDeadline(w *Worker, now time.Time)
 	nextDeadline() time.Time
 }
@@ -45,7 +49,14 @@ type Worker struct {
 	// one frame per write (DESIGN.md "Local reads").
 	pendingVal []uint64
 
-	runq []*Session
+	runq fifo[*Session]
+
+	// freeES recycles esWriteOps (and their value buffers) once their write
+	// is fully acked: the relaxed-write fast path allocates nothing at its
+	// high-water mark. Safe because Send copies every payload (the
+	// transport contract), so no in-flight message aliases a recycled
+	// buffer.
+	freeES []*esWriteOp
 
 	scratch [kvs.MaxValueLen]byte
 	now     time.Time
@@ -159,11 +170,11 @@ func (w *Worker) sendResetBit(opID uint64, mask uint16) {
 // and routes the reply (if any) straight back into this worker's ops.
 func (w *Worker) deliverLocal(m proto.Message) {
 	if rep, ok := w.handleRequest(&m); ok {
-		w.dispatchReply(&rep)
+		w.dispatchReply(rep)
 	}
 }
 
-func (w *Worker) dispatchReply(m *proto.Message) {
+func (w *Worker) dispatchReply(m proto.Message) {
 	if op, ok := w.ops[m.OpID]; ok {
 		op.onMessage(w, m)
 	}
@@ -206,7 +217,7 @@ func (w *Worker) dispatch(m *proto.Message) {
 		return
 	}
 	if m.IsReply() {
-		w.dispatchReply(m)
+		w.dispatchReply(*m)
 		return
 	}
 	rep, ok := w.handleRequest(m)
@@ -214,7 +225,7 @@ func (w *Worker) dispatch(m *proto.Message) {
 		return
 	}
 	if m.From == w.node.ID {
-		w.dispatchReply(&rep)
+		w.dispatchReply(rep)
 		return
 	}
 	w.stage(m.From, rep)
@@ -265,25 +276,25 @@ func (w *Worker) queueValidate(key uint64, st llc.Stamp) {
 // flushValidates folds the iteration's fully-acked writes into validate
 // broadcasts: every current member (the local replica included, via the
 // loopback) marks each still-current (key, stamp) locally readable.
+//
+// The staged frames' Origins view pendingVal, which is truncated and reused
+// next iteration: flush sends them before anything appends again, and Send
+// copies them.
 func (w *Worker) flushValidates() {
-	for len(w.pendingVal) > 0 {
-		n := len(w.pendingVal)
-		if n > proto.MaxOrigins {
-			n = proto.MaxOrigins
-		}
-		m := proto.Message{
+	for pend := w.pendingVal; len(pend) > 0; {
+		n := min(len(pend), proto.MaxOrigins)
+		w.broadcastAll(proto.Message{
 			Kind: proto.KindESValidate, From: w.node.ID, Worker: w.id,
-			Origins: w.pendingVal[:n:n],
-		}
-		w.pendingVal = w.pendingVal[n:]
-		w.broadcastAll(m)
+			Origins: pend[:n:n],
+		})
+		pend = pend[n:]
 	}
-	w.pendingVal = nil
+	w.pendingVal = w.pendingVal[:0]
 }
 
 // flush sends every staged batch. The transport copies/encodes
-// synchronously, so each stage is truncated and reused next iteration —
-// steady state stages no allocations.
+// synchronously — payloads included — so each stage is truncated and reused
+// next iteration: steady state stages no allocations.
 func (w *Worker) flush() {
 	w.flushValidates()
 	for dst := range w.out {
@@ -298,8 +309,14 @@ func (w *Worker) flush() {
 func (w *Worker) enqueueRun(s *Session) {
 	if !s.inRunq {
 		s.inRunq = true
-		w.runq = append(w.runq, s)
+		w.runq.push(s)
 	}
+}
+
+// admit queues a submitted request behind its session's earlier ones.
+func (w *Worker) admit(r *Request) {
+	r.sess.queue.push(r)
+	w.enqueueRun(r.sess)
 }
 
 // run is the worker event loop.
@@ -367,8 +384,7 @@ func (w *Worker) run() {
 		for i := 0; i < maxAdmitsPerIter; i++ {
 			select {
 			case r := <-w.reqCh:
-				r.sess.queue = append(r.sess.queue, r)
-				w.enqueueRun(r.sess)
+				w.admit(r)
 				progress = true
 			default:
 				break admit
@@ -382,9 +398,8 @@ func (w *Worker) run() {
 		// read of the still-stale store) is served early. The sessions stay
 		// in the runq and drain on the first iteration after the sweep.
 		if !w.node.rejoining.Load() {
-			for len(w.runq) > 0 {
-				s := w.runq[0]
-				w.runq = w.runq[1:]
+			for w.runq.len() > 0 {
+				s := w.runq.pop()
 				s.inRunq = false
 				w.pump(s)
 				progress = true
@@ -468,8 +483,7 @@ func (w *Worker) idleWait() {
 			w.flush()
 		}
 	case r := <-w.reqCh:
-		r.sess.queue = append(r.sess.queue, r)
-		w.enqueueRun(r.sess)
+		w.admit(r)
 	case <-w.idle.C:
 	}
 }
@@ -485,11 +499,11 @@ func (w *Worker) scanDeadlines() {
 // pump advances a session: issue queued requests in order until one blocks
 // (or flow control throttles relaxed writes).
 func (w *Worker) pump(s *Session) {
-	for s.head == nil && len(s.queue) > 0 {
-		r := s.queue[0]
+	for s.head == nil && s.queue.len() > 0 {
+		r := s.queue.peek()
 		if r.Canceled() {
 			// Abandoned before it was issued: it never executes.
-			s.queue = s.queue[1:]
+			s.queue.pop()
 			s.complete(r, ErrCanceled)
 			continue
 		}
@@ -497,7 +511,7 @@ func (w *Worker) pump(s *Session) {
 			s.throttled = true
 			return
 		}
-		s.queue = s.queue[1:]
+		s.queue.pop()
 		w.issue(s, r)
 	}
 }
@@ -513,10 +527,9 @@ func (w *Worker) failAll() {
 			}
 			s.head = nil
 		}
-		for _, r := range s.queue {
-			s.complete(r, ErrStopped)
+		for s.queue.len() > 0 {
+			s.complete(s.queue.pop(), ErrStopped)
 		}
-		s.queue = nil
 	}
 	// Drain any requests still sitting in the submit channel.
 	w.drainSubmitted()
@@ -538,8 +551,10 @@ func (w *Worker) applyConfig() {
 			// exactly like an ordinary full-ack.
 			if esop, ok := w.ops[id].(*esWriteOp); ok {
 				w.queueValidate(esop.msg.Key, esop.msg.Stamp)
+				w.retireESWrite(esop)
+			} else {
+				w.unregister(id)
 			}
-			w.unregister(id)
 		}
 		if len(done) == 0 {
 			continue

@@ -53,13 +53,17 @@ type PendingWrite struct {
 // replica group, so the fence waits for pending AND settled to drain
 // (FullyAcked), while releases keep the paper's availability story
 // (AllAcked, pending only).
+//
+// Entries are stored by value and both maps keep their buckets across
+// deletes, Settle and Refit, so a tracker at its high-water mark ledgers
+// writes without allocating.
 type Tracker struct {
-	pending map[uint64]*PendingWrite
+	pending map[uint64]PendingWrite
 	// settled holds writes whose DM-set a slow release has published; their
 	// broadcasts keep retransmitting until every replica acks. Bounded by
 	// write throughput during a replica outage (entries drain in one burst
 	// when the straggler wakes and acks).
-	settled map[uint64]*PendingWrite
+	settled map[uint64]PendingWrite
 	full    uint16 // all-nodes bitmask
 	quorum  int
 }
@@ -74,8 +78,8 @@ func NewTracker(n int) *Tracker {
 // contiguous after a replica removal).
 func NewTrackerMask(full uint16) *Tracker {
 	return &Tracker{
-		pending: make(map[uint64]*PendingWrite, 16),
-		settled: make(map[uint64]*PendingWrite),
+		pending: make(map[uint64]PendingWrite, 16),
+		settled: make(map[uint64]PendingWrite),
 		full:    full,
 		quorum:  popcount16(full)/2 + 1,
 	}
@@ -92,7 +96,7 @@ func NewTrackerMask(full uint16) *Tracker {
 func (t *Tracker) Refit(full uint16) (completed []uint64) {
 	t.full = full
 	t.quorum = popcount16(full)/2 + 1
-	for _, set := range [2]map[uint64]*PendingWrite{t.pending, t.settled} {
+	for _, set := range [2]map[uint64]PendingWrite{t.pending, t.settled} {
 		for id, pw := range set {
 			if pw.Acked&full == full {
 				delete(set, id)
@@ -105,22 +109,20 @@ func (t *Tracker) Refit(full uint16) (completed []uint64) {
 
 // Add registers a new write. selfAcked is the origin's own node bit, acked
 // implicitly by the local apply.
-func (t *Tracker) Add(opID, key uint64, self uint8) *PendingWrite {
-	pw := &PendingWrite{OpID: opID, Key: key, Acked: 1 << self}
-	t.pending[opID] = pw
-	return pw
+func (t *Tracker) Add(opID, key uint64, self uint8) {
+	t.pending[opID] = PendingWrite{OpID: opID, Key: key, Acked: 1 << self}
 }
 
 // Ack records node `from` acking write opID (pending or settled). It
-// returns the write's entry (nil if unknown) and whether the write is now
-// fully acked, in which case it has been removed from the tracker.
-func (t *Tracker) Ack(opID uint64, from uint8) (pw *PendingWrite, done bool) {
+// reports whether the write is tracked at all and whether it is now fully
+// acked, in which case it has been removed from the tracker.
+func (t *Tracker) Ack(opID uint64, from uint8) (known, done bool) {
 	set := t.pending
 	pw, ok := set[opID]
 	if !ok {
 		set = t.settled
 		if pw, ok = set[opID]; !ok {
-			return nil, false
+			return false, false
 		}
 	}
 	pw.Acked |= 1 << from
@@ -129,9 +131,10 @@ func (t *Tracker) Ack(opID uint64, from uint8) (pw *PendingWrite, done bool) {
 	// grow mid-write.
 	if pw.Acked&t.full == t.full {
 		delete(set, opID)
-		return pw, true
+		return true, true
 	}
-	return pw, false
+	set[opID] = pw
+	return true, false
 }
 
 // Len reports how many unsettled writes still await full acknowledgement
@@ -194,7 +197,7 @@ func (t *Tracker) Settle() {
 	for id, pw := range t.pending {
 		t.settled[id] = pw
 	}
-	t.pending = make(map[uint64]*PendingWrite, 16)
+	clear(t.pending)
 }
 
 func popcount16(x uint16) int {

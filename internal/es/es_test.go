@@ -56,7 +56,7 @@ func TestTrackerFastPath(t *testing.T) {
 	if tr.AllAcked() {
 		t.Fatal("3/5 acks treated as all")
 	}
-	if pw, done := tr.Ack(2, 4); !done || pw == nil {
+	if known, done := tr.Ack(2, 4); !done || !known {
 		t.Fatal("final ack not detected")
 	}
 	if !tr.AllAcked() {
@@ -72,14 +72,14 @@ func TestTrackerDuplicateAndUnknownAcks(t *testing.T) {
 	if tr.AllAcked() {
 		t.Fatal("duplicate ack completed the write")
 	}
-	if pw, done := tr.Ack(99, 1); pw != nil || done {
+	if known, done := tr.Ack(99, 1); known || done {
 		t.Fatal("unknown op acked")
 	}
 	tr.Ack(1, 2)
 	if !tr.AllAcked() {
 		t.Fatal("write not settled")
 	}
-	if pw, done := tr.Ack(1, 2); pw != nil || done {
+	if known, done := tr.Ack(1, 2); known || done {
 		t.Fatal("ack after settle returned state")
 	}
 }
@@ -193,7 +193,7 @@ func TestTrackerRefit(t *testing.T) {
 	}
 	// A stale ack from a removed member is harmless.
 	tr.Refit(0b0111)
-	if pw, _ := tr.Ack(99, 3); pw != nil {
+	if known, _ := tr.Ack(99, 3); known {
 		t.Fatal("unknown write acked")
 	}
 }

@@ -574,7 +574,6 @@ func (s *Server) submit(sess *clientSession, seq uint64, h heldReq) {
 		Code: core.OpCode(h.op), Key: h.key, Delta: h.delta,
 		Expected: h.expected, Val: h.value,
 	}
-	epochNow := func() uint32 { return s.node().ConfigEpoch() }
 	r.Done = func(r *core.Request) {
 		rep := proto.ClientReply{Status: proto.ClientOK, Sess: sess.id, Seq: seq}
 		if r.Err != nil {
@@ -588,7 +587,7 @@ func (s *Server) submit(sess *clientSession, seq uint64, h heldReq) {
 				rep.Flags |= proto.ClientFlagSwapped
 			}
 		}
-		cur := epochNow()
+		cur := s.node().ConfigEpoch()
 		sess.mu.Lock()
 		if cur != sess.epoch {
 			// One-shot notification per epoch change: the client re-pings

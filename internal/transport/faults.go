@@ -216,10 +216,11 @@ func (f *FaultInjector) Send(dst Endpoint, batch []proto.Message) {
 	if delay > 0 {
 		f.stats.DelayedBatches.Add(1)
 		f.counter(from, dst.Node).delayed.Add(1)
-		// The caller owns batch and may reuse it the moment Send returns;
-		// a delayed delivery outlives that, so it rides its own copy (the
-		// fault path may allocate — only the healthy path is budgeted).
-		held := append([]proto.Message(nil), batch...)
+		// The caller owns batch and its payloads and may reuse them the
+		// moment Send returns; a delayed delivery outlives that, so it rides
+		// its own deep copy (the fault path may allocate — only the healthy
+		// path is budgeted).
+		held, _, _ := copyBatch(nil, nil, nil, batch)
 		time.AfterFunc(delay, func() { f.deliverDelayed(from, dst, held) })
 		if dup {
 			time.AfterFunc(delay, func() { f.deliverDelayed(from, dst, held) })

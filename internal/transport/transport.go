@@ -62,11 +62,12 @@ func (b *Batch) Release() {
 // non-blocking and unreliable: delivery may silently fail. Implementations
 // must be safe for concurrent use.
 type Transport interface {
-	// Send enqueues a batch for dst. The batch slice remains owned by the
-	// caller and may be reused as soon as Send returns: implementations
-	// encode or copy it synchronously. The messages' Value/Origins
-	// payloads, by contrast, must stay immutable until delivered (workers
-	// never recycle those: values belong to sessions or fresh replies).
+	// Send enqueues a batch for dst. It copies everything before it returns
+	// — the message slice and every message's Value and Origins payload —
+	// by encoding (UDP) or by deep copy (InProc and UDP loopback into a
+	// pooled slot, a FaultInjector into the copy a delayed batch and its
+	// duplicate ride). The caller may therefore reuse or overwrite the
+	// batch and any buffer its messages point into as soon as Send returns.
 	Send(dst Endpoint, batch []proto.Message)
 	// Recv returns the receive channel for a local endpoint. Each queued
 	// element is one batch, released by the consumer.
@@ -92,9 +93,9 @@ type Stats struct {
 }
 
 // InProc is the in-process transport: one bounded channel per destination
-// endpoint. Sent batches are copied into pooled message slices so the
-// sender's staging buffers can be reused immediately; receivers return the
-// pooled slices via Batch.Release.
+// endpoint. Sent batches are deep-copied into pooled slots so the sender's
+// staging buffers and payloads can be reused immediately; receivers return
+// the slots via Batch.Release.
 type InProc struct {
 	nodes    int
 	workers  int
@@ -105,10 +106,49 @@ type InProc struct {
 	capacity int
 }
 
-// inprocSlot is one pooled message-slice copy in flight through a mailbox.
+// inprocSlot is one pooled batch copy in flight through a mailbox: the
+// messages plus the arenas their Value and Origins payloads are packed into.
 type inprocSlot struct {
-	t    *InProc
-	msgs []proto.Message
+	t       *InProc
+	msgs    []proto.Message
+	vals    []byte
+	origins []uint64
+}
+
+// copyBatch deep-copies batch into msgs, packing every message's Value into
+// vals and its Origins into origins, and returns the three slices. Each is
+// reused when its capacity suffices and grown once, up front, when it does
+// not — so a caller that round-trips them allocates nothing in steady state,
+// and no copied view is left pointing into a superseded array. The copy
+// shares no memory with batch (nil payloads stay nil). Passing nil slices
+// degrades to allocation.
+func copyBatch(msgs []proto.Message, vals []byte, origins []uint64, batch []proto.Message) ([]proto.Message, []byte, []uint64) {
+	nv, no := 0, 0
+	for i := range batch {
+		nv += len(batch[i].Value)
+		no += len(batch[i].Origins)
+	}
+	if cap(vals) < nv {
+		vals = make([]byte, 0, nv)
+	}
+	if cap(origins) < no {
+		origins = make([]uint64, 0, no)
+	}
+	msgs, vals, origins = append(msgs[:0], batch...), vals[:0], origins[:0]
+	for i := range msgs {
+		m := &msgs[i]
+		if m.Value != nil {
+			off := len(vals)
+			vals = append(vals, m.Value...)
+			m.Value = vals[off:len(vals):len(vals)]
+		}
+		if m.Origins != nil {
+			off := len(origins)
+			origins = append(origins, m.Origins...)
+			m.Origins = origins[off:len(origins):len(origins)]
+		}
+	}
+	return msgs, vals, origins
 }
 
 func (s *inprocSlot) release() {
@@ -160,7 +200,7 @@ func (t *InProc) Send(dst Endpoint, batch []proto.Message) {
 		return
 	}
 	s := t.slot()
-	s.msgs = append(s.msgs[:0], batch...)
+	s.msgs, s.vals, s.origins = copyBatch(s.msgs, s.vals, s.origins, batch)
 	select {
 	case t.mailbox[t.idx(dst)] <- Batch{Msgs: s.msgs, rel: s}:
 		t.stats.SentBatches.Add(1)

@@ -423,3 +423,50 @@ func TestUDPPartialBatchUnderLimit(t *testing.T) {
 		t.Fatalf("delivered %d msgs, want %d", msgs, n)
 	}
 }
+
+// TestSendCopiesPayloads pins Send's one contract on every path that can
+// hold a batch past the call — an InProc mailbox, a FaultInjector's delayed
+// and duplicated copies, a UDP node's loopback: once Send returns, the
+// sender may overwrite the buffers its messages' Value and Origins point
+// into, and every delivered copy still carries the bytes it was sent with.
+func TestSendCopiesPayloads(t *testing.T) {
+	check := func(t *testing.T, tr Transport, recv <-chan Batch, dst Endpoint, copies int) {
+		t.Helper()
+		val, origins := []byte("payload-before-reuse"), []uint64{7, 8, 9}
+		batch := mkBatch(0, 2)
+		batch[0].Value, batch[1].Origins = val, origins
+		tr.Send(dst, batch)
+		copy(val, "SCRIBBLED-AFTER-SEND")
+		origins[0], origins[1], origins[2] = 0, 0, 0
+		for i := 0; i < copies; i++ {
+			select {
+			case got := <-recv:
+				if string(got.Msgs[0].Value) != "payload-before-reuse" {
+					t.Fatalf("copy %d: Value %q", i, got.Msgs[0].Value)
+				}
+				if o := got.Msgs[1].Origins; len(o) != 3 || o[0] != 7 || o[1] != 8 || o[2] != 9 {
+					t.Fatalf("copy %d: Origins %v", i, o)
+				}
+				got.Release()
+			case <-time.After(2 * time.Second):
+				t.Fatalf("copy %d never arrived", i)
+			}
+		}
+	}
+	t.Run("inproc", func(t *testing.T) {
+		tr := NewInProc(2, 1, 8)
+		check(t, tr, tr.Recv(Endpoint{Node: 1}), Endpoint{Node: 1}, 1)
+	})
+	t.Run("faults-delay-dup", func(t *testing.T) {
+		tr := NewInProc(2, 1, 8)
+		f := NewFaultInjector(tr, 1)
+		defer f.Close()
+		f.DelayLink(0, 1, 5*time.Millisecond)
+		f.DupLink(0, 1, 1.0)
+		check(t, f, tr.Recv(Endpoint{Node: 1}), Endpoint{Node: 1}, 2)
+	})
+	t.Run("udp-loopback", func(t *testing.T) {
+		u, _ := udpPair(t, nil)
+		check(t, u, u.Recv(Endpoint{}), Endpoint{}, 1)
+	})
+}

@@ -336,8 +336,10 @@ func (u *UDP) Send(dst Endpoint, batch []proto.Message) {
 		return
 	}
 	if dst.Node == u.local {
+		// Loopback: deep-copy, the values packed into the slot's idle
+		// datagram buffer.
 		s := u.slot()
-		s.msgs = append(s.msgs[:0], batch...)
+		s.msgs, _, s.arena = copyBatch(s.msgs, s.buf[:0], s.arena, batch)
 		select {
 		case u.recv[dst.Worker] <- Batch{Msgs: s.msgs, rel: s}:
 			u.stats.SentBatches.Add(1)

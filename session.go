@@ -2,6 +2,7 @@ package kite
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"kite/internal/core"
@@ -21,25 +22,82 @@ func newClusterSession(s *core.Session) *clusterSession {
 	return cs
 }
 
-// request translates an Op into a core request. Slices are passed through
-// (copy == false) only when the caller provably blocks until the worker is
-// done with them — a synchronous call with a non-cancelable context. Any
-// path that can return to the caller while the request is still live
-// (async, or a context that may expire) must copy, or the caller could
-// reuse its buffer while the worker still reads it.
-func request(op Op, copySlices bool) *core.Request {
-	val, exp := op.Value, op.Expected
-	if copySlices {
-		val, exp = cloneVal(val), cloneVal(exp)
-	}
-	return &core.Request{
-		Code: core.OpCode(op.Code), Key: op.Key,
-		Val: val, Expected: exp, Delta: op.Delta,
+// call is one in-process invocation: the core request, inline copies of the
+// op's slices, and where its completion goes. Calls come from one pool, so
+// a steady stream of ops allocates nothing but the Result.Value each caller
+// owns. A call is recycled only once its completion has been consumed —
+// inline by its Done for DoAsync, by the waiting goroutine for Do and
+// DoBatch — and never after Cancel: an abandoned call may still complete
+// later, so it is left to the GC (DESIGN.md "Request lifecycle").
+type call struct {
+	req      core.Request
+	val, exp [MaxValueLen]byte
+	// cb receives a DoAsync result; notify, when set, instead hands the
+	// completed call to the goroutine waiting in Do or DoBatch.
+	cb     func(Result)
+	notify chan *call
+	idx    int // position in a DoBatch
+	// own is the call's Do channel, made once with the call.
+	own chan *call
+}
+
+var calls sync.Pool
+
+func init() {
+	// Set here, not in calls' initializer: New binds done, which recycles
+	// into calls.
+	calls.New = func() any {
+		c := &call{own: make(chan *call, 1)}
+		c.req.Done = c.done
+		return c
 	}
 }
 
-func result(r *core.Request) Result {
+// newCall takes a call from the pool and loads op into it, copying Value
+// and Expected into the call's own buffers (op is validated: both fit).
+func newCall(op Op) *call {
+	c := calls.Get().(*call)
+	r := &c.req
+	r.Code, r.Key, r.Delta = core.OpCode(op.Code), op.Key, op.Delta
+	r.Val, r.Expected = inline(c.val[:], op.Value), inline(c.exp[:], op.Expected)
+	r.Out, r.Swapped, r.Err = nil, false, nil
+	return c
+}
+
+// inline copies v into buf; empty values pass as nil, as cloneVal's do.
+func inline(buf, v []byte) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return buf[:copy(buf, v)]
+}
+
+// done is the request's Done, bound once per call. It runs on the worker
+// goroutine as the request's last touch inside core.
+func (c *call) done(*core.Request) {
+	if c.notify != nil {
+		c.notify <- c
+		return
+	}
+	cb := c.cb
+	var res Result
+	if cb != nil {
+		res = c.result()
+	}
+	c.recycle()
+	if cb != nil {
+		cb(res)
+	}
+}
+
+func (c *call) result() Result {
+	r := &c.req
 	return Result{Value: cloneVal(r.Out), Swapped: r.Swapped, Err: r.Err}
+}
+
+func (c *call) recycle() {
+	c.cb, c.notify, c.req.Err = nil, nil, nil
+	calls.Put(c)
 }
 
 // Do executes op synchronously. With no deadline on ctx it waits as long
@@ -54,22 +112,22 @@ func (s *clusterSession) Do(ctx context.Context, op Op) (Result, error) {
 	if err := ValidateOp(op); err != nil {
 		return Result{Err: err}, err
 	}
-	// ctx.Done() == nil (e.g. context.Background) means Do cannot return
-	// before completion, so the worker may safely read the caller's
-	// slices in place; a cancelable context forces a copy.
-	r := request(op, ctx.Done() != nil)
-	done := make(chan *core.Request, 1)
-	r.Done = func(r *core.Request) { done <- r }
-	s.s.Submit(r)
+	c := newCall(op)
+	c.notify = c.own
+	s.s.Submit(&c.req)
 	select {
-	case out := <-done:
-		return result(out), out.Err
+	case <-c.own:
+		res := c.result()
+		c.recycle()
+		return res, res.Err
 	case <-ctx.Done():
-		r.Cancel()
-		// Prefer a completion that raced the cancellation.
+		c.req.Cancel()
+		// Prefer a completion that raced the cancellation. Either way the
+		// call is not recycled: it was canceled.
 		select {
-		case out := <-done:
-			return result(out), out.Err
+		case <-c.own:
+			res := c.result()
+			return res, res.Err
 		default:
 		}
 		err := canceledErr(ctx.Err())
@@ -92,11 +150,9 @@ func (s *clusterSession) DoAsync(op Op, cb func(Result)) {
 		}
 		return
 	}
-	r := request(op, true)
-	if cb != nil {
-		r.Done = func(r *core.Request) { cb(result(r)) }
-	}
-	s.s.Submit(r)
+	c := newCall(op)
+	c.cb = cb
+	s.s.Submit(&c.req)
 }
 
 // DoBatch submits every op back-to-back — they occupy consecutive
@@ -116,46 +172,43 @@ func (s *clusterSession) DoBatch(ctx context.Context, ops []Op) ([]Result, error
 			return nil, err
 		}
 	}
-	type indexed struct {
-		i int
-		r *core.Request
-	}
-	done := make(chan indexed, len(ops))
-	reqs := make([]*core.Request, len(ops))
-	copySlices := ctx.Done() != nil
+	done := make(chan *call, len(ops))
+	pending := make([]*call, len(ops)) // nil once consumed
 	for i, op := range ops {
-		r := request(op, copySlices)
-		i := i
-		r.Done = func(r *core.Request) { done <- indexed{i: i, r: r} }
-		reqs[i] = r
-		s.s.Submit(r)
+		c := newCall(op)
+		c.notify, c.idx = done, i
+		pending[i] = c
+		s.s.Submit(&c.req)
 	}
 	results := make([]Result, len(ops))
-	got := make([]bool, len(ops))
 	for n := 0; n < len(ops); n++ {
 		select {
-		case x := <-done:
-			results[x.i] = result(x.r)
-			got[x.i] = true
+		case c := <-done:
+			results[c.idx] = c.result()
+			pending[c.idx] = nil
+			c.recycle()
 		case <-ctx.Done():
-			for _, r := range reqs {
-				r.Cancel()
-			}
-			// Drain completions that raced in, then mark the rest.
-			for n < len(ops) {
-				select {
-				case x := <-done:
-					results[x.i] = result(x.r)
-					got[x.i] = true
-					n++
-					continue
-				default:
+			// Cancel only what has not completed: a consumed call may
+			// already serve another op.
+			for _, c := range pending {
+				if c != nil {
+					c.req.Cancel()
 				}
-				break
+			}
+			// Drain completions that raced in; the canceled calls that
+			// show up are not recycled.
+			for more := true; more; {
+				select {
+				case c := <-done:
+					results[c.idx] = c.result()
+					pending[c.idx] = nil
+				default:
+					more = false
+				}
 			}
 			cerr := canceledErr(ctx.Err())
-			for i := range results {
-				if !got[i] {
+			for i, c := range pending {
+				if c != nil {
 					results[i] = Result{Err: cerr}
 				}
 			}
