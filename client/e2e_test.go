@@ -38,16 +38,11 @@ func reservePorts(t *testing.T, n int) []int {
 	return ports
 }
 
-type cluster struct{ *testcluster.Cluster }
-
-// addr returns node i's client-facing address.
-func (cl *cluster) addr(i int) string { return cl.Addr(i) }
-
 // startCluster brings up n replicas over loopback UDP, each with a session
 // server on an ephemeral port (shared harness: internal/testcluster).
-func startCluster(t *testing.T, n int) *cluster {
+func startCluster(t *testing.T, n int) *testcluster.Cluster {
 	t.Helper()
-	return &cluster{testcluster.Start(t, n)}
+	return testcluster.Start(t, testcluster.Options{Backend: testcluster.Remote, Options: kite.Options{Nodes: n}})
 }
 
 func testOpts() client.Options {
@@ -64,12 +59,12 @@ func testOpts() client.Options {
 func TestE2EProducerConsumer(t *testing.T) {
 	cl := startCluster(t, 3)
 
-	prodC, err := client.Dial(cl.addr(0), testOpts())
+	prodC, err := client.Dial(cl.Addr(0), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer prodC.Close()
-	consC, err := client.Dial(cl.addr(1), testOpts())
+	consC, err := client.Dial(cl.Addr(1), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +130,7 @@ func TestE2EFAA(t *testing.T) {
 	olds := map[uint64]bool{}
 	var wg sync.WaitGroup
 	for n := 0; n < 2; n++ {
-		c, err := client.Dial(cl.addr(n), testOpts())
+		c, err := client.Dial(cl.Addr(n), testOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +167,7 @@ func TestE2EFAA(t *testing.T) {
 		}
 	}
 	// Verify the final count from a third node.
-	c, err := client.Dial(cl.addr(2), testOpts())
+	c, err := client.Dial(cl.Addr(2), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +189,7 @@ func TestE2EFAA(t *testing.T) {
 // then an async read-back, all completing in order.
 func TestE2EAsyncPipeline(t *testing.T) {
 	cl := startCluster(t, 3)
-	c, err := client.Dial(cl.addr(0), testOpts())
+	c, err := client.Dial(cl.Addr(0), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +226,7 @@ func TestE2EAsyncPipeline(t *testing.T) {
 // in session order, and returns index-aligned results.
 func TestE2EDoBatchSingleFrame(t *testing.T) {
 	cl := startCluster(t, 3)
-	c, err := client.Dial(cl.addr(0), testOpts())
+	c, err := client.Dial(cl.Addr(0), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +263,7 @@ func TestE2EDoBatchSingleFrame(t *testing.T) {
 	// all 5 ops as batched arrivals. A retransmission of the frame (lost
 	// reply, scheduling stall) re-counts the same 5, so assert a whole
 	// multiple rather than an exact count.
-	got := cl.Servers[0].Stats().BatchedOps.Load()
+	got := cl.Server(0).Stats().BatchedOps.Load()
 	if got < uint64(len(ops)) || got%uint64(len(ops)) != 0 {
 		t.Fatalf("BatchedOps = %d, want a positive multiple of %d (batch split into single-op frames?)", got, len(ops))
 	}
@@ -370,7 +365,7 @@ func (p *lossyProxy) addr() string { return p.front.LocalAddr().String() }
 // server's dedup must keep it exactly-once.
 func TestE2EDroppedRepliesRetry(t *testing.T) {
 	cl := startCluster(t, 3)
-	proxy := newLossyProxy(t, cl.addr(0), 3)
+	proxy := newLossyProxy(t, cl.Addr(0), 3)
 
 	opts := testOpts()
 	opts.RetryInterval = 30 * time.Millisecond
@@ -399,7 +394,7 @@ func TestE2EDroppedRepliesRetry(t *testing.T) {
 	if old != 5 {
 		t.Fatalf("counter = %d after retried FAA, want 5", old)
 	}
-	if cl.Servers[0].Stats().Retransmits.Load() == 0 {
+	if cl.Server(0).Stats().Retransmits.Load() == 0 {
 		t.Fatal("server saw no retransmits — proxy dropped nothing?")
 	}
 }
@@ -409,7 +404,7 @@ func TestE2EDroppedRepliesRetry(t *testing.T) {
 // swallowed seq would wedge the server's in-order submission forever).
 func TestE2EOversizedValue(t *testing.T) {
 	cl := startCluster(t, 3)
-	c, err := client.Dial(cl.addr(0), testOpts())
+	c, err := client.Dial(cl.Addr(0), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +432,7 @@ func TestE2EOversizedValue(t *testing.T) {
 // of letting every later op time out too.
 func TestE2ETimeoutBreaksSession(t *testing.T) {
 	cl := startCluster(t, 3)
-	proxy := newLossyProxy(t, cl.addr(0), 1_000_000) // drop all data replies
+	proxy := newLossyProxy(t, cl.Addr(0), 1_000_000) // drop all data replies
 
 	opts := testOpts()
 	opts.OpTimeout = 400 * time.Millisecond
@@ -477,7 +472,7 @@ func TestE2ETimeoutBreaksSession(t *testing.T) {
 // and subsequent client ops with ErrStopped (same error as in-process).
 func TestE2ENodeStopSurfacesErrStopped(t *testing.T) {
 	cl := startCluster(t, 3)
-	c, err := client.Dial(cl.addr(2), testOpts())
+	c, err := client.Dial(cl.Addr(2), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +485,7 @@ func TestE2ENodeStopSurfacesErrStopped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl.Nodes[2].Stop()
+	cl.StopNode(2)
 	if err := s.Write(2, []byte("y")); !errors.Is(err, client.ErrStopped) {
 		t.Fatalf("write on stopped node: %v, want ErrStopped", err)
 	}
@@ -500,7 +495,7 @@ func TestE2ENodeStopSurfacesErrStopped(t *testing.T) {
 // expired/foreign session id surfaces ErrSessionExpired.
 func TestE2ESessionLifecycle(t *testing.T) {
 	cl := startCluster(t, 3)
-	c, err := client.Dial(cl.addr(0), testOpts())
+	c, err := client.Dial(cl.Addr(0), testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 // Usage:
 //
 //	kite-chaos -seed 1 -duration 30s -backend inproc
-//	kite-chaos -backend sharded -groups 2 -nemeses drop-link,stop-restart
+//	kite-chaos -backend sharded-inproc -groups 2 -nemeses drop-link,stop-restart
+//	kite-chaos -backend sharded-remote
 //	kite-chaos -backend remote -json report.json -history history.jsonl
 //	kite-chaos -nemeses crash-all     # durability: SIGKILL all, restart from WAL
 //	kite-chaos -nemeses local-reads   # attack the local-acquire valid-bit window
@@ -38,16 +39,15 @@ import (
 	"kite/internal/chaos"
 	"kite/internal/history"
 	"kite/internal/testcluster"
-	"kite/sharded"
 )
 
 func main() {
 	var (
 		seed     = flag.Int64("seed", 1, "schedule seed; same seed, same nemesis timeline")
 		duration = flag.Duration("duration", 30*time.Second, "nemesis window (every fault heals inside it)")
-		backend  = flag.String("backend", "inproc", "deployment flavour: inproc | sharded | remote")
+		backend  = flag.String("backend", "inproc", "deployment flavour: inproc | remote | sharded-inproc | sharded-remote")
 		nodes    = flag.Int("nodes", 3, "replicas per group")
-		groups   = flag.Int("groups", 2, "replica groups (sharded backend)")
+		groups   = flag.Int("groups", 2, "replica groups (sharded backends)")
 		nemeses  = flag.String("nemeses", "", "comma-separated nemesis kinds (default: all of "+kindList()+"); 'local-reads' expands to the schedule attacking the local-acquire fast path, 'wire-batching' to the one attacking the batched transport's flush window, 'online-audit' to the latency-biased mix with the standing online auditor riding the workload")
 		online   = flag.Bool("online", false, "ride the internal/audit online auditor on every recorded workload session; the run fails if it reports a violation the offline verifier does not confirm")
 		verify   = flag.Bool("verify", true, "run the RC/k-atomicity verifier over the recorded history")
@@ -117,11 +117,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kite-chaos: crash-all requested without -wal-dir; using %s\n", dir)
 	}
 
-	tg, cleanup, err := buildTarget(*backend, *nodes, *groups, *walDir)
+	tg, err := buildTarget(*backend, *nodes, *groups, *walDir)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer cleanup()
+	defer tg.Close()
 
 	if *online {
 		cfg.OnlineAudit = true
@@ -161,55 +161,13 @@ func main() {
 	fmt.Fprintln(os.Stderr, "kite-chaos: PASSED")
 }
 
-// buildTarget boots the requested deployment. The remote backend drives
-// testcluster through a non-testing TB whose Fatal panics (recovered into
-// exit 2) and whose cleanups run via the returned teardown.
-func buildTarget(backend string, nodes, groups int, walDir string) (chaos.Target, func(), error) {
-	opts := kite.Options{Nodes: nodes, Workers: 1, SessionsPerWorker: 8, Capacity: 1 << 14, WALDir: walDir}
-	switch backend {
-	case "inproc":
-		c, err := kite.NewCluster(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return chaos.NewInprocTarget(c), c.Close, nil
-	case "sharded":
-		c, err := sharded.NewCluster(groups, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return chaos.NewShardedTarget(c), c.Close, nil
-	case "remote":
-		tb := &runtimeTB{}
-		cl := testcluster.StartWith(tb, testcluster.Options{Nodes: nodes, WALDir: walDir})
-		return cl.Chaos(), tb.runCleanups, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown backend %q (inproc | sharded | remote)", backend)
-	}
-}
-
-// runtimeTB satisfies testcluster.TB outside `go test`: fatal errors panic
-// (turned into exit 2 by deferred recovery in cleanups' caller — boot
-// failures surface immediately), cleanups run at teardown in reverse
-// order, like testing.T.
-type runtimeTB struct {
-	cleanups []func()
-}
-
-func (t *runtimeTB) Helper() {}
-func (t *runtimeTB) Fatal(args ...any) {
-	fmt.Fprintln(os.Stderr, append([]any{"kite-chaos: fatal:"}, args...)...)
-	os.Exit(2)
-}
-func (t *runtimeTB) Fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "kite-chaos: fatal: "+format+"\n", args...)
-	os.Exit(2)
-}
-func (t *runtimeTB) Cleanup(fn func()) { t.cleanups = append(t.cleanups, fn) }
-func (t *runtimeTB) runCleanups() {
-	for i := len(t.cleanups) - 1; i >= 0; i-- {
-		t.cleanups[i]()
-	}
+// buildTarget boots the requested deployment through the test harness,
+// which offers all four backends behind the chaos.Target method set.
+func buildTarget(backend string, nodes, groups int, walDir string) (*testcluster.Cluster, error) {
+	return testcluster.New(testcluster.Options{
+		Backend: testcluster.Backend(backend), Groups: groups, OpTimeout: 3 * time.Second,
+		Options: kite.Options{Nodes: nodes, Workers: 1, SessionsPerWorker: 8, Capacity: 1 << 14, WALDir: walDir},
+	})
 }
 
 func writeHistory(path string, rec *history.Recorded) error {

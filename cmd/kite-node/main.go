@@ -116,26 +116,10 @@ func main() {
 	// after boot (-join, ids beyond -nodes) have addresses every peer
 	// already derived. The address book covers the whole id space — ports
 	// of ids that never run are just dark.
-	portOf := func(n, w int) int { return *base + (*group*llc.MaxNodes+n)**workers + w }
-	listen := make([]string, *workers)
-	for w := 0; w < *workers; w++ {
-		listen[w] = fmt.Sprintf("%s:%d", *host, portOf(*id, w))
-	}
-	peers := make(map[uint8][]string)
-	for n := 0; n < llc.MaxNodes; n++ {
-		if n == *id {
-			continue
-		}
-		addrs := make([]string, *workers)
-		for w := 0; w < *workers; w++ {
-			addrs[w] = fmt.Sprintf("%s:%d", *host, portOf(n, w))
-		}
-		peers[uint8(n)] = addrs
-	}
-
-	tr, err := transport.NewUDP(transport.UDPConfig{
-		LocalNode: uint8(*id), Workers: *workers, Listen: listen, Peers: peers,
+	udpCfg := transport.GroupUDPConfig(uint8(*id), *workers, llc.MaxNodes, func(n, w int) string {
+		return fmt.Sprintf("%s:%d", *host, *base+(*group*llc.MaxNodes+n)**workers+w)
 	})
+	tr, err := transport.NewUDP(udpCfg)
 	if err != nil {
 		log.Fatalf("kite-node: transport: %v", err)
 	}
@@ -172,7 +156,7 @@ func main() {
 	}
 	nd.Start()
 	defer func() { nd.Stop() }()
-	log.Printf("kite-node %d/%d (group %d/%d) up: %v", *id, *nodes, *group, *groups, listen)
+	log.Printf("kite-node %d/%d (group %d/%d) up: %v", *id, *nodes, *group, *groups, udpCfg.Listen)
 	if nd.WALRestored() {
 		log.Printf("kite-node %d: recovered from WAL (incarnation %d) — rejoining to sweep the delta", *id, nd.Incarnation())
 	}
@@ -216,17 +200,13 @@ func main() {
 			log.Printf("kite-node %d: SIGHUP — restarting replica (state discarded, rejoining)", *id)
 		}
 		nd.Stop()
-		rcfg := cfg
-		rcfg.Rejoin = true
 		// SIGHUP restarts stay in-process, so the successor incarnation is
 		// derived locally; crash-restarts of the whole process must pass a
-		// higher -incarnation instead.
-		rcfg.Incarnation = nd.Incarnation() + 1
-		// Rejoin under the configuration this incarnation last installed —
-		// reconfigurations slept through are healed by the sweep (the config
-		// key transfers like any key) and the epoch check's config exchange.
-		rcfg.Initial = nd.View()
-		next, err := core.NewNode(uint8(*id), rcfg, tr)
+		// higher -incarnation instead. The successor rejoins under the
+		// configuration this incarnation last installed — reconfigurations
+		// slept through are healed by the sweep (the config key transfers
+		// like any key) and the epoch check's config exchange.
+		next, err := core.NewNode(uint8(*id), nd.SuccessorConfig(cfg, nd.View()), tr)
 		if err != nil {
 			log.Fatalf("kite-node: restart: %v", err)
 		}

@@ -2,9 +2,9 @@
 // Session backend — the in-process cluster, the remote client over a
 // loopback-UDP 3-node deployment, and the sharded composition of each
 // (2 independent replica groups behind one Session) — through the same
-// kite.Session interface. This is the contract the api_redesign
-// establishes: one operation model, one error taxonomy, one behavior,
-// regardless of deployment.
+// kite.Session interface and the one harness that boots all four. This is
+// the contract the api_redesign establishes: one operation model, one
+// error taxonomy, one behavior, regardless of deployment.
 package kite_test
 
 import (
@@ -15,173 +15,46 @@ import (
 	"time"
 
 	"kite"
-	"kite/client"
-	"kite/internal/core"
 	"kite/internal/history"
 	"kite/internal/testcluster"
 	"kite/internal/verifier"
-	"kite/sharded"
 )
 
-// harness is one running deployment exposing sessions by (node, session)
-// coordinates plus the failure hooks the suite needs.
-type harness struct {
-	nodes   int
-	session func(t *testing.T, node, sess int) kite.Session
-	pause   func(node int, d time.Duration)
-	// restart crash-stops a replica (every group of it, on the sharded
-	// backends) and brings up a fresh, empty incarnation that rejoins via
-	// the catch-up sweep; await blocks until that sweep completes.
-	restart func(t *testing.T, node int)
-	await   func(t *testing.T, node int)
-	// stats snapshots replica node's slow-path counters (summed across
-	// groups on the sharded backends) — the observable that proves which
-	// path an acquire took.
-	stats func(node int) core.Stats
-}
-
-type backendDef struct {
-	name string
-	make func(t *testing.T) *harness
-}
-
-// backends lists the Session implementations under test. The sharded
-// variants run 2 independent replica groups (each 3 nodes) behind one
-// Session — same contract, twice the membership.
-func backends() []backendDef {
-	return []backendDef{
-		{name: "inproc", make: inprocHarness},
-		{name: "remote", make: remoteHarness},
-		{name: "sharded-inproc", make: shardedInprocHarness},
-		{name: "sharded-remote", make: shardedRemoteHarness},
-	}
-}
-
-// forEachBackend runs body once per backend, each against a fresh 3-node
-// deployment.
-func forEachBackend(t *testing.T, body func(t *testing.T, h *harness)) {
-	for _, be := range backends() {
-		be := be
-		t.Run(be.name, func(t *testing.T) {
-			body(t, be.make(t))
+// forEachBackend runs body once per backend of the shared harness
+// (internal/testcluster), each against a fresh deployment: 3 replicas, or
+// 2 independent replica groups of 3 behind one Session on the sharded
+// backends — same contract, twice the membership. Node ids name machines,
+// so a sharded backend's lifecycle call hits that machine's replica of
+// every group and its stats sum across groups.
+func forEachBackend(t *testing.T, body func(t *testing.T, h *testcluster.Cluster)) {
+	for _, b := range testcluster.Backends() {
+		t.Run(string(b), func(t *testing.T) {
+			body(t, testcluster.Start(t, testcluster.Options{Backend: b}))
 		})
 	}
 }
 
-func inprocHarness(t *testing.T) *harness {
+// restart crash-stops replica node and boots a fresh, empty incarnation
+// that rejoins via the catch-up sweep; awaitRejoin waits for the sweep.
+func restart(t *testing.T, h *testcluster.Cluster, node int) {
 	t.Helper()
-	c, err := kite.NewCluster(kite.Options{
-		Nodes: 3, Workers: 2, SessionsPerWorker: 4, Capacity: 1 << 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return &harness{
-		nodes:   3,
-		session: func(t *testing.T, node, sess int) kite.Session { return c.Session(node, sess) },
-		pause:   c.PauseNode,
-		restart: func(t *testing.T, node int) {
-			if err := c.RestartNode(node); err != nil {
-				t.Fatalf("restart node %d: %v", node, err)
-			}
-		},
-		await: func(t *testing.T, node int) {
-			if !c.AwaitRejoin(node, 30*time.Second) {
-				t.Fatalf("node %d still catching up: %+v", node, c.NodeCatchup(node))
-			}
-		},
-		stats: c.NodeStats,
+	if err := h.RestartNode(node); err != nil {
+		t.Fatalf("restart node %d: %v", node, err)
 	}
 }
 
-func remoteHarness(t *testing.T) *harness {
+func awaitRejoin(t *testing.T, h *testcluster.Cluster, node int) {
 	t.Helper()
-	cl := testcluster.Start(t, 3)
-	clients := cl.Dial(t)
-	return &harness{
-		nodes: 3,
-		session: func(t *testing.T, node, sess int) kite.Session {
-			s, err := clients[node].NewSession()
-			if err != nil {
-				t.Fatalf("lease session on node %d: %v", node, err)
-			}
-			return s
-		},
-		pause:   cl.PauseNode,
-		restart: func(t *testing.T, node int) { cl.RestartNode(t, node) },
-		await:   func(t *testing.T, node int) { cl.AwaitRejoin(t, node, 30*time.Second) },
-		stats:   func(node int) core.Stats { return cl.Nodes[node].SlowPathStats() },
-	}
-}
-
-func shardedInprocHarness(t *testing.T) *harness {
-	t.Helper()
-	c, err := sharded.NewCluster(2, kite.Options{
-		Nodes: 3, Workers: 2, SessionsPerWorker: 4, Capacity: 1 << 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return &harness{
-		nodes:   3,
-		session: func(t *testing.T, node, sess int) kite.Session { return c.Session(node, sess) },
-		pause:   c.PauseNode,
-		restart: func(t *testing.T, node int) {
-			if err := c.RestartNode(node); err != nil {
-				t.Fatalf("restart node %d: %v", node, err)
-			}
-		},
-		await: func(t *testing.T, node int) {
-			if !c.AwaitRejoin(node, 30*time.Second) {
-				t.Fatalf("node %d still catching up", node)
-			}
-		},
-		stats: c.NodeStats,
-	}
-}
-
-func shardedRemoteHarness(t *testing.T) *harness {
-	t.Helper()
-	cl := testcluster.StartSharded(t, 2, 3)
-	clients := make([]*client.ShardedClient, 3)
-	for node := range clients {
-		clients[node] = cl.DialSharded(t, node)
-	}
-	return &harness{
-		nodes: 3,
-		session: func(t *testing.T, node, sess int) kite.Session {
-			s, err := clients[node].NewSession()
-			if err != nil {
-				t.Fatalf("lease sharded session on node %d: %v", node, err)
-			}
-			return s
-		},
-		pause:   cl.PauseNode,
-		restart: func(t *testing.T, node int) { cl.RestartNode(t, node) },
-		await:   func(t *testing.T, node int) { cl.AwaitRejoin(t, node, 30*time.Second) },
-		stats: func(node int) core.Stats {
-			var sum core.Stats
-			for _, g := range cl.Groups {
-				s := g.Nodes[node].SlowPathStats()
-				sum.LocalAcqHits += s.LocalAcqHits
-				sum.AcqFallbacks += s.AcqFallbacks
-				sum.EpochBumps += s.EpochBumps
-				sum.SlowReads += s.SlowReads
-				sum.SlowWrites += s.SlowWrites
-				sum.SlowReleases += s.SlowReleases
-			}
-			return sum
-		},
+	if !h.AwaitRejoin(node, 30*time.Second) {
+		t.Fatalf("node %d still catching up", node)
 	}
 }
 
 // TestConformanceOps drives every operation class through Do and the
 // convenience methods.
 func TestConformanceOps(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 		ctx := context.Background()
 
 		if r, err := s.Do(ctx, kite.ReadOp(1)); err != nil || r.Value != nil {
@@ -226,10 +99,10 @@ func TestConformanceOps(t *testing.T) {
 // TestConformanceReleaseAcquire checks the DRF handoff across sessions on
 // different replicas through the interface.
 func TestConformanceReleaseAcquire(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
 		log := history.New()
-		prod := log.Wrap(h.session(t, 0, 0))
-		cons := log.Wrap(h.session(t, h.nodes-1, 0))
+		prod := log.Wrap(h.Lease(t, 0, 0))
+		cons := log.Wrap(h.Lease(t, h.Nodes()-1, 0))
 		payload := []byte("payload")
 		if err := prod.Write(100, payload); err != nil {
 			t.Fatal(err)
@@ -266,8 +139,8 @@ func TestConformanceReleaseAcquire(t *testing.T) {
 // session-order atomicity of a batch: its ops occupy consecutive session
 // positions and execute in slice order.
 func TestConformanceDoBatch(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 		ctx := context.Background()
 
 		if rs, err := s.DoBatch(ctx, nil); rs != nil || err != nil {
@@ -336,8 +209,8 @@ func TestConformanceDoBatch(t *testing.T) {
 // TestConformanceValueTooLong checks the shared oversized-value error on
 // every submission path, and that rejection leaves the session usable.
 func TestConformanceValueTooLong(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 		ctx := context.Background()
 		big := make([]byte, kite.MaxValueLen+1)
 
@@ -379,13 +252,13 @@ func TestConformanceValueTooLong(t *testing.T) {
 // against a paused (sleeping, §8.4) replica returns promptly with the
 // shared cancellation error instead of hanging, and the session survives.
 func TestConformanceDeadlineOnPausedNode(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 		if err := s.Write(1, []byte("before")); err != nil {
 			t.Fatal(err)
 		}
 
-		h.pause(0, 700*time.Millisecond)
+		h.PauseNode(0, 700*time.Millisecond)
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		defer cancel()
 		start := time.Now()
@@ -421,9 +294,9 @@ func TestConformanceDeadlineOnPausedNode(t *testing.T) {
 // TestConformanceCancelMidOp checks explicit cancellation (not deadline):
 // the caller is released promptly with ErrCanceled/context.Canceled.
 func TestConformanceCancelMidOp(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
-		h.pause(0, 500*time.Millisecond)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
+		h.PauseNode(0, 500*time.Millisecond)
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(100 * time.Millisecond)
@@ -438,8 +311,8 @@ func TestConformanceCancelMidOp(t *testing.T) {
 
 // TestConformanceSessionClosed checks the shared closed-session error.
 func TestConformanceSessionClosed(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 		if err := s.Write(1, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -465,8 +338,8 @@ func TestConformanceSessionClosed(t *testing.T) {
 // invalidated key — its valid bit cleared by a release's install — falls
 // back to the ABD quorum read (AcqFallbacks advances).
 func TestConformanceLocalAcquires(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 
 		// A relaxed write full-acks, the origin broadcasts validates, and
 		// from then on acquires of the key are served off the local store.
@@ -476,7 +349,7 @@ func TestConformanceLocalAcquires(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			before := h.stats(0).LocalAcqHits
+			before := h.NodeStats(0).LocalAcqHits
 			v, err := s.AcquireRead(200)
 			if err != nil {
 				t.Fatal(err)
@@ -484,11 +357,11 @@ func TestConformanceLocalAcquires(t *testing.T) {
 			if string(v) != "settled" {
 				t.Fatalf("acquire = %q, want %q", v, "settled")
 			}
-			if h.stats(0).LocalAcqHits > before {
+			if h.NodeStats(0).LocalAcqHits > before {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("no local acquire hit on a quiescent key: %+v", h.stats(0))
+				t.Fatalf("no local acquire hit on a quiescent key: %+v", h.NodeStats(0))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -497,7 +370,7 @@ func TestConformanceLocalAcquires(t *testing.T) {
 		// releases are never validated — the next acquire MUST take the
 		// quorum read (it carries the synchronizes-with edge) and return
 		// the released value.
-		fb := h.stats(0).AcqFallbacks
+		fb := h.NodeStats(0).AcqFallbacks
 		if err := s.ReleaseWrite(200, []byte("released")); err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +381,7 @@ func TestConformanceLocalAcquires(t *testing.T) {
 		if string(v) != "released" {
 			t.Fatalf("acquire after release = %q, want %q", v, "released")
 		}
-		if got := h.stats(0).AcqFallbacks; got <= fb {
+		if got := h.NodeStats(0).AcqFallbacks; got <= fb {
 			t.Fatalf("acquire of a released key did not fall back (fallbacks %d -> %d)", fb, got)
 		}
 	})
@@ -517,8 +390,8 @@ func TestConformanceLocalAcquires(t *testing.T) {
 // TestConformanceAsyncPipeline checks DoAsync ordering: a pipelined burst
 // completes, and a subsequent read observes the last write.
 func TestConformanceAsyncPipeline(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		s := h.session(t, 0, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		s := h.Lease(t, 0, 0)
 		const n = 32
 		errs := make(chan error, n)
 		for i := 0; i < n; i++ {

@@ -1,8 +1,8 @@
-// The structure tests run UNMODIFIED against both Session backends — the
-// in-process cluster and remote client sessions over a loopback-UDP 3-node
-// deployment — via the shared kite.Session interface: each test body takes
-// a (node, session) -> kite.Session factory and is executed once per
-// backend.
+// The structure tests run UNMODIFIED against every Session backend of the
+// shared harness (internal/testcluster) — in process and remote, one
+// replica group or two behind a sharded Session — via the kite.Session
+// interface: each test body takes a (node, session) -> kite.Session
+// factory and is executed once per backend.
 package dstruct
 
 import (
@@ -20,36 +20,12 @@ type sessionFn func(node, sess int) kite.Session
 
 // forEachBackend runs body against a fresh deployment of each backend.
 func forEachBackend(t *testing.T, body func(t *testing.T, session sessionFn)) {
-	t.Run("inproc", func(t *testing.T) {
-		c, err := kite.NewCluster(kite.Options{
-			Nodes: 3, Workers: 2, SessionsPerWorker: 4, Capacity: 1 << 12,
+	for _, b := range testcluster.Backends() {
+		t.Run(string(b), func(t *testing.T) {
+			c := testcluster.Start(t, testcluster.Options{Backend: b})
+			body(t, func(node, sess int) kite.Session { return c.Lease(t, node, sess) })
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		body(t, func(node, sess int) kite.Session { return c.Session(node, sess) })
-	})
-	t.Run("remote", func(t *testing.T) {
-		cl := testcluster.Start(t, 3)
-		clients := cl.Dial(t)
-		var mu sync.Mutex
-		leased := map[[2]int]kite.Session{}
-		body(t, func(node, sess int) kite.Session {
-			mu.Lock()
-			defer mu.Unlock()
-			key := [2]int{node, sess}
-			if s, ok := leased[key]; ok {
-				return s
-			}
-			s, err := clients[node].NewSession()
-			if err != nil {
-				t.Fatalf("lease session on node %d: %v", node, err)
-			}
-			leased[key] = s
-			return s
-		})
-	})
+	}
 }
 
 func TestPtrCodec(t *testing.T) {

@@ -57,11 +57,7 @@ func RunFailureStudy(o FailureOpts) (FailureOutcome, error) {
 
 	out := FailureOutcome{Timeline: tl}
 	for n := range c.Nodes() {
-		st := c.NodeStats(n)
-		out.SlowPath.SlowReads += st.SlowReads
-		out.SlowPath.SlowWrites += st.SlowWrites
-		out.SlowPath.EpochBumps += st.EpochBumps
-		out.SlowPath.SlowReleases += st.SlowReleases
+		out.SlowPath.Add(c.NodeStats(n))
 	}
 	// Period averages: pre-sleep = samples before SleepAt; intermediate =
 	// well inside the sleep; post = after wake + margin.

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"kite"
-	"kite/sharded"
+	"kite/internal/testcluster"
 )
 
 // TestGenerateDeterministic pins the reproducibility contract: a schedule
@@ -94,17 +94,22 @@ func chaosConfig(t *testing.T) Config {
 	return Config{Seed: 1, Duration: d}
 }
 
-// TestChaosInproc: a full seeded run — every nemesis kind injected against
-// the in-process cluster, history verified, evidence ledger non-trivial.
-func TestChaosInproc(t *testing.T) {
-	c, err := kite.NewCluster(kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rep, rec := Run(NewInprocTarget(c), chaosConfig(t))
+// deploy boots backend b as a chaos target: one worker and `sessions`
+// sessions per replica, and remote client timeouts short enough that an op
+// wedged behind a fault frees its workload slot.
+func deploy(t *testing.T, b testcluster.Backend, sessions int, walDir string) *testcluster.Cluster {
+	return testcluster.Start(t, testcluster.Options{
+		Backend: b, OpTimeout: 3 * time.Second,
+		Options: kite.Options{Workers: 1, SessionsPerWorker: sessions, WALDir: walDir},
+	})
+}
+
+// runAllKinds is a full seeded run against b — every nemesis kind injected,
+// history verified, evidence ledger non-trivial.
+func runAllKinds(t *testing.T, b testcluster.Backend, sessions int) {
+	rep, rec := Run(deploy(t, b, sessions, ""), chaosConfig(t))
 	if !rep.Passed {
-		t.Fatalf("chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
+		t.Fatalf("%s chaos run failed: errors=%v verifier:\n%s", b, rep.Errors, rep.Verifier.String())
 	}
 	if rec == nil || len(rec.Events) == 0 || rep.Ops.OK == 0 {
 		t.Fatalf("no history recorded: %+v", rep.Ops)
@@ -116,46 +121,60 @@ func TestChaosInproc(t *testing.T) {
 	}
 }
 
-// TestChaosLocalReadsInproc runs the local-reads schedule — the nemesis mix
-// biased at the local-acquire fast path's invalidate→validate window — over
-// three seeds against the in-process cluster. The scan workers' acquires
-// mix local hits with quorum fallbacks while validates are delayed, peers
-// isolated and replicas restarted; the verifier judges the history.
+// TestChaosInproc, TestChaosRemote, TestChaosSharded and
+// TestChaosShardedRemote are the chaos acceptance matrix: the same run
+// against each of the four backends. On the sharded ones nemeses hit the
+// same machine slot in every group through the FaultSet; on the remote
+// ones faults hit the replica links while the workload runs through real
+// clients over loopback UDP.
+func TestChaosInproc(t *testing.T)        { runAllKinds(t, testcluster.InProc, 4) }
+func TestChaosRemote(t *testing.T)        { runAllKinds(t, testcluster.Remote, 8) }
+func TestChaosSharded(t *testing.T)       { runAllKinds(t, testcluster.ShardedInProc, 4) }
+func TestChaosShardedRemote(t *testing.T) { runAllKinds(t, testcluster.ShardedRemote, 8) }
+
+// runLocalReads runs the local-reads schedule — the nemesis mix biased at
+// the local-acquire fast path's invalidate→validate window — against b.
+// The scan workers' acquires mix local hits with quorum fallbacks while
+// validates are delayed, peers isolated and replicas restarted; the
+// verifier judges the history, and both halves of the fast path must have
+// been exercised.
+func runLocalReads(t *testing.T, b testcluster.Backend, sessions int, seed int64) {
+	c := deploy(t, b, sessions, "")
+	cfg := chaosConfig(t)
+	cfg.Seed = seed
+	cfg.Kinds = LocalReadsKinds()
+	rep, _ := Run(c, cfg)
+	if !rep.Passed {
+		t.Fatalf("%s local-reads chaos run failed: errors=%v verifier:\n%s", b, rep.Errors, rep.Verifier.String())
+	}
+	for _, k := range LocalReadsKinds() {
+		if rep.Injected[k] == 0 {
+			t.Fatalf("kind %s never injected; injected=%v", k, rep.Injected)
+		}
+	}
+	var hits, falls uint64
+	for n := 0; n < c.Nodes(); n++ {
+		st := c.NodeStats(n)
+		hits += st.LocalAcqHits
+		falls += st.AcqFallbacks
+	}
+	if hits == 0 || falls == 0 {
+		t.Fatalf("fast path not exercised under chaos: hits=%d fallbacks=%d", hits, falls)
+	}
+}
+
+// TestChaosLocalReadsInproc runs three seeds in process; the remote and
+// sharded legs run one each.
 func TestChaosLocalReadsInproc(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			c, err := kite.NewCluster(kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			cfg := chaosConfig(t)
-			cfg.Seed = seed
-			cfg.Kinds = LocalReadsKinds()
-			rep, _ := Run(NewInprocTarget(c), cfg)
-			if !rep.Passed {
-				t.Fatalf("local-reads chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
-			}
-			for _, k := range LocalReadsKinds() {
-				if rep.Injected[k] == 0 {
-					t.Fatalf("kind %s never injected; injected=%v", k, rep.Injected)
-				}
-			}
-			// The schedule must have actually exercised the fast path: some
-			// acquires served locally, some forced onto the quorum read.
-			var hits, falls uint64
-			for n := 0; n < c.Nodes(); n++ {
-				st := c.NodeStats(n)
-				hits += st.LocalAcqHits
-				falls += st.AcqFallbacks
-			}
-			if hits == 0 || falls == 0 {
-				t.Fatalf("fast path not exercised under chaos: hits=%d fallbacks=%d", hits, falls)
-			}
+			runLocalReads(t, testcluster.InProc, 4, seed)
 		})
 	}
 }
+
+func TestChaosLocalReadsRemote(t *testing.T)  { runLocalReads(t, testcluster.Remote, 8, 1) }
+func TestChaosLocalReadsSharded(t *testing.T) { runLocalReads(t, testcluster.ShardedInProc, 4, 1) }
 
 // TestChaosWireBatchingInproc runs the wire-batching schedule — the nemesis
 // mix biased at the batched transport's flush/linger window, plus burst
@@ -166,18 +185,12 @@ func TestChaosLocalReadsInproc(t *testing.T) {
 // the burst-op counter proves the load generator actually ran.
 func TestChaosWireBatchingInproc(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			c, err := kite.NewCluster(kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 8, Capacity: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
 			cfg := chaosConfig(t)
 			cfg.Seed = seed
 			cfg.Kinds = WireBatchingKinds()
 			cfg.BurstSessions = 3
-			rep, _ := Run(NewInprocTarget(c), cfg)
+			rep, _ := Run(deploy(t, testcluster.InProc, 8, ""), cfg)
 			if !rep.Passed {
 				t.Fatalf("wire-batching chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
 			}
@@ -190,38 +203,5 @@ func TestChaosWireBatchingInproc(t *testing.T) {
 				t.Fatal("burst sessions requested but no burst writes completed")
 			}
 		})
-	}
-}
-
-// TestChaosLocalReadsSharded: one local-reads seed against the sharded
-// composition (the remote leg lives in internal/testcluster).
-func TestChaosLocalReadsSharded(t *testing.T) {
-	c, err := sharded.NewCluster(2, kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cfg := chaosConfig(t)
-	cfg.Kinds = LocalReadsKinds()
-	rep, _ := Run(NewShardedTarget(c), cfg)
-	if !rep.Passed {
-		t.Fatalf("sharded local-reads chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
-	}
-}
-
-// TestChaosSharded: the same run shape against the sharded deployment —
-// nemeses hit the same machine slot in every group through the FaultSet.
-func TestChaosSharded(t *testing.T) {
-	c, err := sharded.NewCluster(2, kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rep, _ := Run(NewShardedTarget(c), chaosConfig(t))
-	if !rep.Passed {
-		t.Fatalf("sharded chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
-	}
-	if len(rep.Faults) == 0 {
-		t.Fatal("no per-link fault evidence recorded")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"kite"
+	"kite/internal/testcluster"
 )
 
 // TestCrashAllWAL is the durability acceptance run: a seeded crash-all
@@ -13,15 +13,7 @@ import (
 // own disks with every acknowledged write intact (the verifier checks the
 // recorded history against the replayed stores).
 func TestCrashAllWAL(t *testing.T) {
-	c, err := kite.NewCluster(kite.Options{
-		Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12,
-		WALDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rep, rec := Run(NewInprocTarget(c), Config{
+	rep, rec := Run(deploy(t, testcluster.InProc, 4, t.TempDir()), Config{
 		Seed: 7, Duration: 6 * time.Second,
 		Kinds: []NemesisKind{KindCrashAll},
 	})
@@ -43,12 +35,7 @@ func TestCrashAllWAL(t *testing.T) {
 // rejoin sweeps can never complete, and the run reports it. If this test
 // ever starts passing, crash-all stopped certifying durability.
 func TestCrashAllMemoryOnlyFails(t *testing.T) {
-	c, err := kite.NewCluster(kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rep, _ := Run(NewInprocTarget(c), Config{
+	rep, _ := Run(deploy(t, testcluster.InProc, 4, ""), Config{
 		Seed: 7, Duration: 3 * time.Second,
 		Kinds: []NemesisKind{KindCrashAll},
 		// Short: these sweeps are expected to hang forever, and each

@@ -3,8 +3,7 @@ package chaos
 import (
 	"testing"
 
-	"kite"
-	"kite/sharded"
+	"kite/internal/testcluster"
 )
 
 // TestChaosOnlineAuditSharded runs the online-audit schedule: the standing
@@ -15,15 +14,10 @@ import (
 // certifies both the deployment (no real violations) and the auditor (no
 // invented ones, under real latency, retries and session churn).
 func TestChaosOnlineAuditSharded(t *testing.T) {
-	c, err := sharded.NewCluster(2, kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	cfg := chaosConfig(t)
 	cfg.Kinds = OnlineAuditKinds()
 	cfg.OnlineAudit = true
-	rep, _ := Run(NewShardedTarget(c), cfg)
+	rep, _ := Run(deploy(t, testcluster.ShardedInProc, 4, ""), cfg)
 	if !rep.Passed {
 		t.Fatalf("online-audit chaos run failed: errors=%v verifier:\n%s\naudit:\n%s",
 			rep.Errors, rep.Verifier.String(), rep.Audit.Report.String())
@@ -45,15 +39,10 @@ func TestChaosOnlineAuditSharded(t *testing.T) {
 // TestChaosOnlineAuditInproc is the per-PR CI smoke shape: the same gate on
 // the cheap in-process backend.
 func TestChaosOnlineAuditInproc(t *testing.T) {
-	c, err := kite.NewCluster(kite.Options{Nodes: 3, Workers: 1, SessionsPerWorker: 4, Capacity: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	cfg := chaosConfig(t)
 	cfg.Kinds = OnlineAuditKinds()
 	cfg.OnlineAudit = true
-	rep, _ := Run(NewInprocTarget(c), cfg)
+	rep, _ := Run(deploy(t, testcluster.InProc, 4, ""), cfg)
 	if !rep.Passed {
 		t.Fatalf("online-audit chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
 	}

@@ -1,93 +1,24 @@
 package chaos
 
 import (
-	"time"
-
 	"kite"
-	"kite/sharded"
-	"kite/internal/transport"
+	"kite/internal/core"
 )
 
-// Target is a running Kite deployment a chaos run drives. All three
-// harness layers provide one: kite.Cluster and sharded.Cluster through the
-// adapters below, the loopback-UDP testcluster through its Chaos() hook
-// (the adapter lives there — chaos must stay importable by testcluster).
+// Target is a running Kite deployment a chaos run drives: the module's one
+// replica-lifecycle method set plus workload sessions. internal/testcluster
+// provides one for each of the four backends.
 //
 // Lifecycle errors are returned, not fatal: mid-chaos a restart can
 // legitimately race a concurrent fault, and the runner records rather than
 // aborts.
 type Target interface {
+	core.Deployment
 	// Backend names the deployment flavour for reports ("inproc",
-	// "sharded", "remote", ...).
+	// "sharded-remote", ...).
 	Backend() string
-	// Nodes is the boot membership size; SessionsPerNode the per-replica
-	// session count. Workload slots are carved from this grid.
-	Nodes() int
-	SessionsPerNode() int
 	// Session leases (or re-leases) the session at the coordinates. A
 	// fresh handle abandons any previous one at the same coordinates —
 	// workloads re-lease after errors.
 	Session(node, sess int) (kite.Session, error)
-	// Faults is the deployment-wide fault surface.
-	Faults() *transport.FaultSet
-	StopNode(node int)
-	// CrashNode is StopNode as SIGKILL: a WAL-enabled node's log is
-	// abandoned without a final fsync (the crash-all nemesis kills every
-	// node this way before restarting them all from disk).
-	CrashNode(node int)
-	RestartNode(node int) error
-	AwaitRejoin(node int, timeout time.Duration) bool
-	AddNode() (int, error)
-	RemoveNode(node int) error
 }
-
-// inprocTarget adapts kite.Cluster.
-type inprocTarget struct {
-	c *kite.Cluster
-}
-
-// NewInprocTarget wraps an in-process single-group cluster.
-func NewInprocTarget(c *kite.Cluster) Target { return &inprocTarget{c} }
-
-func (t *inprocTarget) Backend() string      { return "inproc" }
-func (t *inprocTarget) Nodes() int           { return t.c.Nodes() }
-func (t *inprocTarget) SessionsPerNode() int { return t.c.SessionsPerNode() }
-func (t *inprocTarget) Session(node, sess int) (kite.Session, error) {
-	return t.c.Session(node, sess), nil
-}
-func (t *inprocTarget) Faults() *transport.FaultSet {
-	return transport.NewFaultSet(t.c.Faults())
-}
-func (t *inprocTarget) StopNode(node int)          { t.c.StopNode(node) }
-func (t *inprocTarget) CrashNode(node int)         { t.c.CrashNode(node) }
-func (t *inprocTarget) RestartNode(node int) error { return t.c.RestartNode(node) }
-func (t *inprocTarget) AwaitRejoin(node int, timeout time.Duration) bool {
-	return t.c.AwaitRejoin(node, timeout)
-}
-func (t *inprocTarget) AddNode() (int, error)   { return t.c.AddNode() }
-func (t *inprocTarget) RemoveNode(node int) error { return t.c.RemoveNode(node) }
-
-// shardedTarget adapts sharded.Cluster.
-type shardedTarget struct {
-	c *sharded.Cluster
-}
-
-// NewShardedTarget wraps an in-process sharded cluster; nemeses hit the
-// same machine slot in every group, like the lifecycle operations.
-func NewShardedTarget(c *sharded.Cluster) Target { return &shardedTarget{c} }
-
-func (t *shardedTarget) Backend() string      { return "sharded" }
-func (t *shardedTarget) Nodes() int           { return t.c.Nodes() }
-func (t *shardedTarget) SessionsPerNode() int { return t.c.SessionsPerNode() }
-func (t *shardedTarget) Session(node, sess int) (kite.Session, error) {
-	return t.c.Session(node, sess), nil
-}
-func (t *shardedTarget) Faults() *transport.FaultSet { return t.c.Faults() }
-func (t *shardedTarget) StopNode(node int)           { t.c.StopNode(node) }
-func (t *shardedTarget) CrashNode(node int)          { t.c.CrashNode(node) }
-func (t *shardedTarget) RestartNode(node int) error  { return t.c.RestartNode(node) }
-func (t *shardedTarget) AwaitRejoin(node int, timeout time.Duration) bool {
-	return t.c.AwaitRejoin(node, timeout)
-}
-func (t *shardedTarget) AddNode() (int, error)     { return t.c.AddNode() }
-func (t *shardedTarget) RemoveNode(node int) error { return t.c.RemoveNode(node) }

@@ -278,7 +278,11 @@ func TestConfigExchangeMessages(t *testing.T) {
 	defer c.Close()
 	n1 := c.Node(1)
 	// Push a newer config at node 1 via a raw ConfigInfo frame.
-	c.inner.Send(transport.Endpoint{Node: 1, Worker: 0}, []proto.Message{{
+	tr, err := c.net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Send(transport.Endpoint{Node: 1, Worker: 0}, []proto.Message{{
 		Kind: proto.KindConfigInfo, From: 0, Worker: 0,
 		Slot: 5, Bits: n1.MembersMask(),
 	}})

@@ -183,6 +183,20 @@ func (nd *Node) View() membership.Config { return *nd.view.Load() }
 // a strictly higher value.
 func (nd *Node) Incarnation() uint32 { return nd.cfg.Incarnation }
 
+// SuccessorConfig is the configuration this node's next incarnation boots
+// with after a crash-restart on the same id: base (the replica's usual
+// config) in catch-up mode, with a strictly higher incarnation — the new
+// node's op ids must never collide with ids this one left in the group's
+// exactly-once registries — under view, the newest configuration the
+// caller knows. Cluster.RestartNode and kite-node's in-place restart both
+// derive their successors here.
+func (nd *Node) SuccessorConfig(base Config, view membership.Config) Config {
+	base.Rejoin = true
+	base.Incarnation = nd.Incarnation() + 1
+	base.Initial = view
+	return base
+}
+
 // WALRestored reports whether this boot replayed prior state from its
 // write-ahead log. Such a node rejoins on its own (sweeping only the
 // delta it missed while down), even without Config.Rejoin.
@@ -416,6 +430,16 @@ type Stats struct {
 	SlowReleases uint64 // releases that published a DM-set
 	LocalAcqHits uint64 // acquires served locally off a validated key (DESIGN.md "Local reads")
 	AcqFallbacks uint64 // acquires that fell back to the ABD quorum read
+}
+
+// Add accumulates o into s: the machine-level view of a replica per group.
+func (s *Stats) Add(o Stats) {
+	s.SlowReads += o.SlowReads
+	s.SlowWrites += o.SlowWrites
+	s.EpochBumps += o.EpochBumps
+	s.SlowReleases += o.SlowReleases
+	s.LocalAcqHits += o.LocalAcqHits
+	s.AcqFallbacks += o.AcqFallbacks
 }
 
 // SlowPathStats snapshots the node's slow-path counters.

@@ -1,10 +1,15 @@
-// Package testcluster boots a real multi-process-shaped Kite deployment
-// for tests: core nodes exchanging replica traffic over loopback UDP, each
-// fronted by a client-facing session server. Tests that exercise the
-// remote backend of the unified kite.Session interface (package kite's
-// conformance suite, the dstruct structure tests, the client e2e tests)
-// share this harness instead of hand-rolling node wiring, and kite-chaos
-// drives it outside `go test` through the Chaos target.
+// Package testcluster boots any of the module's four deployments — one
+// replica group or a sharded key space, each either in process or over
+// loopback UDP behind real session servers and clients — behind one type,
+// so the conformance, restart, membership and structure suites, the chaos
+// tests and cmd/kite-chaos drive every backend through one method set:
+// core.Deployment for the replica lifecycle, plus Session.
+//
+// The in-process backends are the public kite.Cluster and sharded.Cluster.
+// The remote backends run core.Cluster over a loopback-UDP Network: the
+// replica lifecycle (restart incarnations, reconfiguration, rejoin gating)
+// is core's, and this package adds only sockets, fault injectors, session
+// servers and clients.
 package testcluster
 
 import (
@@ -16,17 +21,17 @@ import (
 
 	"kite"
 	"kite/client"
-	"kite/internal/chaos"
 	"kite/internal/core"
 	"kite/internal/llc"
 	"kite/internal/server"
+	"kite/internal/shard"
 	"kite/internal/transport"
+	"kite/sharded"
 )
 
-// TB is the slice of testing.TB this package needs. It exists so the
-// harness can be driven outside `go test` (cmd/kite-chaos) by any
-// implementation that fails hard and runs cleanups; *testing.T satisfies
-// it unchanged.
+// TB is the slice of testing.TB this package needs; *testing.T satisfies
+// it unchanged. (Importing testing here would register its flags in every
+// binary that uses the harness, cmd/kite-chaos included.)
 type TB interface {
 	Helper()
 	Fatal(args ...any)
@@ -34,526 +39,359 @@ type TB interface {
 	Cleanup(func())
 }
 
-// Cluster is a running loopback-UDP deployment. Nodes, Servers and the
-// per-node transports are index-aligned; everything is torn down by
-// t.Cleanup. Ports are reserved (and peer address books wired) for the full
-// id space up front, so AddNode can boot replicas at ids beyond the initial
-// n without re-wiring anyone. Every node's UDP transport is wrapped in a
-// FaultInjector (kept across restarts, so installed rules survive a node's
-// reincarnation), aggregated behind Faults.
-type Cluster struct {
-	Nodes   []*core.Node
-	Servers []*server.Server
+// Backend names one of the four deployments.
+type Backend string
 
-	cfg    core.Config
-	trs    []*transport.FaultInjector
-	faults *transport.FaultSet
-	t      TB
-	addrOf func(node, w int) string
-	boot   int
-	groups int
-	group  int
-}
+const (
+	InProc        Backend = "inproc"         // one group, in process (kite.Cluster)
+	Remote        Backend = "remote"         // one group over loopback UDP, via kite/client
+	ShardedInProc Backend = "sharded-inproc" // sharded.Cluster
+	ShardedRemote Backend = "sharded-remote" // groups over loopback UDP, via client.DialSharded
+)
 
-// Addr returns node i's client-facing session-server address.
-func (c *Cluster) Addr(i int) string { return c.Servers[i].Addr() }
+// Backends lists all four: the conformance matrix.
+func Backends() []Backend { return []Backend{InProc, Remote, ShardedInProc, ShardedRemote} }
 
-// Faults aggregates every node's replica-traffic fault injector: a rule
-// applied here affects the named link regardless of which node's transport
-// carries it. Counters accumulate per link and survive Clear.
-func (c *Cluster) Faults() *transport.FaultSet { return c.faults }
+func (b Backend) remote() bool  { return b == Remote || b == ShardedRemote }
+func (b Backend) sharded() bool { return b == ShardedInProc || b == ShardedRemote }
 
-// PauseNode makes replica i unresponsive for d (the §8.4 sleeping-replica
-// failure).
-func (c *Cluster) PauseNode(i int, d time.Duration) { c.Nodes[i].Pause(d) }
-
-// StopNode crash-stops replica i: workers exit, outstanding ops fail with
-// ErrStopped, state is lost. The session server and its UDP socket stay
-// up, answering leased clients with session errors until RestartNode.
-func (c *Cluster) StopNode(i int) { c.Nodes[i].Stop() }
-
-// CrashNode kills replica i the way SIGKILL would: like StopNode, but a
-// WAL-enabled replica's log is abandoned without a final fsync, so the
-// restart replays exactly what had reached the operating system. On
-// memory-only clusters it is indistinguishable from StopNode.
-func (c *Cluster) CrashNode(i int) { c.Nodes[i].Crash() }
-
-// TryRestartNode replaces stopped replica i with a fresh node of the same
-// id on the same (fault-wrapped) UDP transport, rebinding the session
-// server so clients keep their dial target. On a memory-only cluster the
-// new incarnation is empty; with Options.WALDir it first replays its own
-// snapshot + log. Either way it rejoins via the catch-up sweep; gate on
-// AwaitRejoin before asserting served state.
-func (c *Cluster) TryRestartNode(i int) error {
-	c.Nodes[i].Stop()
-	cfg := c.nodeCfg(uint8(i))
-	cfg.Rejoin = true
-	// A fresh incarnation: op ids of the new boot must not collide with
-	// the dead incarnation's ids in the group's exactly-once registries.
-	cfg.Incarnation = c.Nodes[i].Incarnation() + 1
-	// Boot with the newest configuration a live replica has installed (the
-	// dead node's own last view as fallback): the group may have
-	// reconfigured while this replica was down.
-	cfg.Initial = c.Nodes[i].View()
-	for _, nd := range c.Nodes {
-		if !nd.Stopped() && !nd.Removed() && nd.ConfigEpoch() > cfg.Initial.Epoch {
-			cfg.Initial = nd.View()
-		}
-	}
-	nd, err := core.NewNode(uint8(i), cfg, c.trs[i])
-	if err != nil {
-		return fmt.Errorf("restart node %d: %w", i, err)
-	}
-	nd.Start()
-	c.Nodes[i] = nd
-	c.Servers[i].Rebind(nd)
-	return nil
-}
-
-// RestartNode is TryRestartNode with test-fatal error handling.
-func (c *Cluster) RestartNode(t TB, i int) {
-	t.Helper()
-	if err := c.TryRestartNode(i); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TryAwaitRejoin waits up to d for replica i's catch-up sweep, reporting
-// whether it completed (a sweep aborted by a stop is a failure).
-func (c *Cluster) TryAwaitRejoin(i int, d time.Duration) bool {
-	return c.Nodes[i].AwaitCatchup(d) && !c.Nodes[i].Stopped()
-}
-
-// AwaitRejoin waits (fatally, up to d) for replica i's catch-up sweep. A
-// sweep aborted by a stop is a failure, not a completion.
-func (c *Cluster) AwaitRejoin(t TB, i int, d time.Duration) {
-	t.Helper()
-	if !c.Nodes[i].AwaitCatchup(d) {
-		t.Fatalf("node %d still catching up after %v: %+v", i, d, c.Nodes[i].Catchup())
-	}
-	if c.Nodes[i].Stopped() {
-		t.Fatalf("node %d was stopped mid-sweep instead of rejoining", i)
-	}
-}
-
-// Dial connects one client to every node's session server, with timeouts
-// matched to the harness config, and registers cleanup. The returned slice
-// is node-index-aligned; lease sessions with clients[i].NewSession().
-func (c *Cluster) Dial(t TB) []*client.Client {
-	t.Helper()
-	clients := make([]*client.Client, len(c.Servers))
-	for i := range clients {
-		cl, err := client.Dial(c.Addr(i), client.Options{
-			DialTimeout:   2 * time.Second,
-			OpTimeout:     15 * time.Second,
-			RetryInterval: 25 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("dial node %d: %v", i, err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		clients[i] = cl
-	}
-	return clients
-}
-
-// Sharded is a running sharded loopback-UDP deployment: groups independent
-// Clusters plus the metadata clients need to dial it.
-type Sharded struct {
-	Groups []*Cluster
-}
-
-// StartSharded brings up a sharded deployment of groups replica groups,
-// each n replicas over loopback UDP (see Start). The session servers
-// advertise their (group, groups) so DialSharded's shard-map validation is
-// exercised for real.
-func StartSharded(t TB, groups, n int) *Sharded {
-	t.Helper()
-	sc := &Sharded{}
-	for g := 0; g < groups; g++ {
-		sc.Groups = append(sc.Groups, startGroup(t, Options{Nodes: n}, groups, g))
-	}
-	return sc
-}
-
-// Addrs returns the client addresses of node i of every group — the shard
-// map for client.DialSharded.
-func (s *Sharded) Addrs(i int) []string {
-	addrs := make([]string, len(s.Groups))
-	for g, cl := range s.Groups {
-		addrs[g] = cl.Addr(i)
-	}
-	return addrs
-}
-
-// PauseNode pauses replica i in every group — one machine of a sharded
-// deployment (hosting a replica of each group) going to sleep.
-func (s *Sharded) PauseNode(i int, d time.Duration) {
-	for _, cl := range s.Groups {
-		cl.PauseNode(i, d)
-	}
-}
-
-// StopNode crash-stops replica i in every group (the machine dies).
-func (s *Sharded) StopNode(i int) {
-	for _, cl := range s.Groups {
-		cl.StopNode(i)
-	}
-}
-
-// RestartNode restarts replica i in every group; each group's fresh
-// replica catches up independently against its own peers.
-func (s *Sharded) RestartNode(t TB, i int) {
-	t.Helper()
-	for _, cl := range s.Groups {
-		cl.RestartNode(t, i)
-	}
-}
-
-// AddNode grows every group by one replica on the same new machine id.
-func (s *Sharded) AddNode(t TB) int {
-	t.Helper()
-	id := -1
-	for g, cl := range s.Groups {
-		nid := cl.AddNode(t)
-		if id >= 0 && nid != id {
-			t.Fatalf("group %d assigned id %d, group 0 assigned %d", g, nid, id)
-		}
-		id = nid
-	}
-	return id
-}
-
-// RemoveNode removes machine i's replica from every group.
-func (s *Sharded) RemoveNode(t TB, i int) {
-	t.Helper()
-	for _, cl := range s.Groups {
-		cl.RemoveNode(t, i)
-	}
-}
-
-// AwaitRejoin waits (fatally, up to d total) for replica i's sweep in
-// every group.
-func (s *Sharded) AwaitRejoin(t TB, i int, d time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for g, cl := range s.Groups {
-		if !cl.Nodes[i].AwaitCatchup(time.Until(deadline)) {
-			t.Fatalf("group %d node %d still catching up after %v: %+v",
-				g, i, d, cl.Nodes[i].Catchup())
-		}
-		if cl.Nodes[i].Stopped() {
-			t.Fatalf("group %d node %d was stopped mid-sweep instead of rejoining", g, i)
-		}
-	}
-}
-
-// DialSharded connects a sharded client to node i of every group, with the
-// same timeouts as Dial, registering cleanup.
-func (s *Sharded) DialSharded(t TB, i int) *client.ShardedClient {
-	t.Helper()
-	sc, err := client.DialSharded(s.Addrs(i), client.Options{
-		DialTimeout:   2 * time.Second,
-		OpTimeout:     15 * time.Second,
-		RetryInterval: 25 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("dial sharded node %d: %v", i, err)
-	}
-	t.Cleanup(func() { sc.Close() })
-	return sc
-}
-
-// reservePorts grabs n free loopback UDP ports. The sockets are closed
-// before use, so a clashing process could steal one — fine for tests.
-func reservePorts(t TB, n int) []int {
-	t.Helper()
-	ports := make([]int, n)
-	conns := make([]*net.UDPConn, n)
-	for i := range ports {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-		ports[i] = c.LocalAddr().(*net.UDPAddr).Port
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return ports
-}
-
-// Options parameterise StartWith beyond the node count. The zero value of
-// every field keeps the memory-only defaults of Start.
+// Options configure a deployment. Zero fields take the harness defaults.
 type Options struct {
-	// Nodes is the replica count (required, >= 1).
-	Nodes int
-	// WALDir, when non-empty, gives every replica a write-ahead log under
-	// its own node-<id> subdirectory; restarts of the same slot recover
-	// from it. Tests typically pass t.TempDir().
-	WALDir string
-	// FsyncInterval is the WAL group-commit deadline (0 = default 10ms,
-	// < 0 = fsync before every acknowledgment). Ignored without WALDir.
-	FsyncInterval time.Duration
-	// SnapshotEvery is the record count between background snapshots
-	// (0 = default, < 0 = disabled). Ignored without WALDir.
-	SnapshotEvery int
+	// Backend picks the deployment (default InProc).
+	Backend Backend
+	// Groups is the replica-group count of a sharded backend (default 2);
+	// the unsharded backends run one group.
+	Groups int
+	// Options configure every group: default 3 replicas, 2 workers × 4
+	// sessions, 4096-key stores. The remote backends widen unset timeouts
+	// for loopback round trips (50 ms release timeout, 25 ms retries).
+	// WALDir, when set, is the base directory of the whole deployment.
+	kite.Options
+	// OpTimeout is the remote clients' per-operation timeout (default 15 s).
+	OpTimeout time.Duration
 }
 
-// Start brings up n memory-only replicas over loopback UDP, each with a
-// session server on an ephemeral port, and registers teardown with
-// t.Cleanup. The configuration mirrors the client e2e environment: single
-// worker, 8 sessions per worker, timeouts widened for loopback-UDP RTTs.
-func Start(t TB, n int) *Cluster {
-	return StartWith(t, Options{Nodes: n})
+func (o Options) withDefaults() Options {
+	if o.Backend == "" {
+		o.Backend = InProc
+	}
+	switch {
+	case !o.Backend.sharded():
+		o.Groups = 1
+	case o.Groups == 0:
+		o.Groups = 2
+	}
+	if o.Nodes == 0 {
+		o.Nodes = 3
+	}
+	if o.Workers == 0 {
+		o.Workers = 2
+	}
+	if o.SessionsPerWorker == 0 {
+		o.SessionsPerWorker = 4
+	}
+	if o.Capacity == 0 {
+		o.Capacity = 1 << 12
+	}
+	if o.Backend.remote() {
+		if o.ReleaseTimeout == 0 {
+			o.ReleaseTimeout = 50 * time.Millisecond
+		}
+		if o.RetryInterval == 0 {
+			o.RetryInterval = 25 * time.Millisecond
+		}
+	}
+	if o.OpTimeout == 0 {
+		o.OpTimeout = 15 * time.Second
+	}
+	return o
 }
 
-// StartWith is Start with explicit Options — notably per-node write-ahead
-// logs for durability and crash-recovery tests.
-func StartWith(t TB, o Options) *Cluster {
-	return startGroup(t, o, 0, 0)
+// Cluster is one running deployment. The embedded core.Deployment is the
+// lifecycle: a kite.Cluster, a sharded.Cluster, one remote group's
+// core.Cluster, or a core.GroupSet of them.
+type Cluster struct {
+	core.Deployment
+	backend Backend
+	m       shard.Map
+
+	// inproc opens in-process sessions; nil on the remote backends.
+	inproc func(node, sess int) kite.Session
+	// The remote backends: one UDP network per group, and one client per
+	// machine, dialed on first lease.
+	nets []*udpNetwork
+	dial client.Options
+
+	mu      sync.Mutex
+	leasers map[int]func() (kite.Session, error)
+	clients []interface{ Close() error }
 }
 
-// startGroup is StartWith parameterised by the node's place in a sharded
-// deployment: its session servers advertise (groups, group) to clients.
-func startGroup(t TB, o Options, groups, group int) *Cluster {
+// Start boots a deployment and registers its teardown with t.Cleanup.
+func Start(t TB, o Options) *Cluster {
 	t.Helper()
-	const workers = 1
-	n := o.Nodes
-	// Reserve the full id space so live AddNode needs no re-wiring.
-	ports := reservePorts(t, llc.MaxNodes*workers)
-	addrOf := func(node, w int) string {
-		return fmt.Sprintf("127.0.0.1:%d", ports[node*workers+w])
+	c, err := New(o)
+	if err != nil {
+		t.Fatalf("testcluster: %v", err)
 	}
-	cfg := core.Config{
-		Nodes: n, Workers: workers, SessionsPerWorker: 8, KVSCapacity: 1 << 12,
-		// Loopback UDP RTTs are well above in-process latencies; widen the
-		// timeouts so healthy runs stay on the fast path.
-		ReleaseTimeout: 50 * time.Millisecond,
-		RetryInterval:  25 * time.Millisecond,
-		WALDir:         o.WALDir,
-		FsyncInterval:  o.FsyncInterval,
-		SnapshotEvery:  o.SnapshotEvery,
-	}
-	cl := &Cluster{
-		cfg: cfg, t: t, addrOf: addrOf, boot: n, groups: groups, group: group,
-		faults: transport.NewFaultSet(),
-	}
-	t.Cleanup(func() {
-		for _, s := range cl.Servers {
-			s.Close()
-		}
-		for _, nd := range cl.Nodes {
-			nd.Stop()
-		}
-		for _, tr := range cl.trs {
-			tr.Close()
-		}
-	})
-	for id := 0; id < n; id++ {
-		if err := cl.bootNode(uint8(id), cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return cl
+	t.Cleanup(c.Close)
+	return c
 }
 
-// nodeCfg derives replica id's config from the cluster's: same everything,
-// but its own WAL subdirectory (when the cluster has one at all).
-func (c *Cluster) nodeCfg(id uint8) core.Config {
-	cfg := c.cfg
-	if cfg.WALDir != "" {
-		cfg.WALDir = filepath.Join(cfg.WALDir, fmt.Sprintf("node-%02d", id))
+// New boots a deployment; the caller owns Close.
+func New(o Options) (*Cluster, error) {
+	o = o.withDefaults()
+	c := &Cluster{
+		backend: o.Backend, m: shard.NewMap(o.Groups),
+		leasers: make(map[int]func() (kite.Session, error)),
+		dial: client.Options{
+			DialTimeout: 2 * time.Second, OpTimeout: o.OpTimeout,
+			RetryInterval: 25 * time.Millisecond,
+		},
+	}
+	switch o.Backend {
+	case InProc:
+		kc, err := kite.NewCluster(o.Options)
+		if err != nil {
+			return nil, err
+		}
+		c.Deployment, c.inproc = kc, kc.Session
+	case ShardedInProc:
+		sc, err := sharded.NewCluster(o.Groups, o.Options)
+		if err != nil {
+			return nil, err
+		}
+		c.Deployment, c.inproc = sc, sc.Session
+	case Remote, ShardedRemote:
+		var set core.GroupSet
+		for g := 0; g < o.Groups; g++ {
+			net, err := newUDPNetwork(o.Workers, o.Groups, g)
+			if err != nil {
+				set.Close()
+				return nil, err
+			}
+			cl, err := core.NewClusterOn(groupConfig(o, g), net)
+			if err != nil {
+				set.Close()
+				return nil, fmt.Errorf("group %d: %w", g, err)
+			}
+			c.nets, set = append(c.nets, net), append(set, cl)
+		}
+		c.Deployment = set
+		if len(set) == 1 {
+			c.Deployment = set[0]
+		}
+	default:
+		return nil, fmt.Errorf("unknown backend %q (want one of %v)", o.Backend, Backends())
+	}
+	return c, nil
+}
+
+// groupConfig is group g's replica configuration on a remote backend: the
+// options, with WAL directories laid out as sharded.Cluster lays them out.
+func groupConfig(o Options, g int) core.Config {
+	cfg := core.Config{
+		Nodes: o.Nodes, Workers: o.Workers, SessionsPerWorker: o.SessionsPerWorker,
+		KVSCapacity: o.Capacity, ReleaseTimeout: o.ReleaseTimeout, RetryInterval: o.RetryInterval,
+		DisableFastPath: o.DisableFastPath, DisableLocalAcquires: o.DisableLocalAcquires,
+		WALDir: o.WALDir, FsyncInterval: o.FsyncInterval, SnapshotEvery: o.SnapshotEvery,
+	}
+	if cfg.WALDir != "" && o.Backend.sharded() {
+		cfg.WALDir = filepath.Join(cfg.WALDir, fmt.Sprintf("group-%02d", g))
 	}
 	return cfg
 }
 
-// bootNode wires the transport (peer addresses for the WHOLE id space —
-// absent peers are simply dark sockets), wraps it in the node's fault
-// injector, boots the node and fronts it with a session server. cfg is the
-// cluster-level config (base WALDir); the per-node subdirectory is derived
-// here.
-func (c *Cluster) bootNode(id uint8, cfg core.Config) error {
-	const workers = 1
-	if cfg.WALDir != "" {
-		cfg.WALDir = filepath.Join(cfg.WALDir, fmt.Sprintf("node-%02d", id))
+// Backend names the deployment ("inproc", "remote", "sharded-inproc",
+// "sharded-remote") for reports.
+func (c *Cluster) Backend() string { return string(c.backend) }
+
+// GroupOf reports which replica group owns key (always 0 when unsharded).
+func (c *Cluster) GroupOf(key uint64) int { return c.m.Group(key) }
+
+// Session opens a session at coordinates (node, sess). In process that is
+// a new handle on replica node's session sess, which abandons any earlier
+// handle at the same coordinates; remotely, a fresh lease from the
+// machine's client (sess only names the slot: the server picks a free
+// session), returned to the server's pool on Close.
+func (c *Cluster) Session(node, sess int) (kite.Session, error) {
+	if c.inproc != nil {
+		return c.inproc(node, sess), nil
 	}
-	listen := make([]string, workers)
-	for w := range listen {
-		listen[w] = c.addrOf(int(id), w)
-	}
-	peers := make(map[uint8][]string)
-	for p := 0; p < llc.MaxNodes; p++ {
-		if p == int(id) {
-			continue
-		}
-		pa := make([]string, workers)
-		for w := range pa {
-			pa[w] = c.addrOf(p, w)
-		}
-		peers[uint8(p)] = pa
-	}
-	udp, err := transport.NewUDP(transport.UDPConfig{
-		LocalNode: id, Workers: workers, Listen: listen, Peers: peers,
-	})
+	lease, err := c.leaser(node)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fi := transport.NewFaultInjector(udp, int64(id)+1)
-	nd, err := core.NewNode(id, cfg, fi)
-	if err != nil {
-		fi.Close()
-		return err
-	}
-	nd.Start()
-	srv, err := server.New(nd, server.Config{Addr: "127.0.0.1:0", Groups: c.groups, Group: c.group})
-	if err != nil {
-		nd.Stop()
-		fi.Close()
-		return err
-	}
-	c.Nodes = append(c.Nodes, nd)
-	c.Servers = append(c.Servers, srv)
-	c.trs = append(c.trs, fi)
-	c.faults.Add(fi)
-	return nil
+	return lease()
 }
 
-// TryAddNode grows the group by one replica over live UDP: the grown
-// configuration is committed through a live member, then the new replica
-// boots at the next id in catch-up mode with its own session server.
-// Returns the new id; gate on AwaitRejoin before leasing its sessions.
-func (c *Cluster) TryAddNode() (int, error) {
-	id := uint8(len(c.Nodes))
-	var proposer *core.Node
-	for _, nd := range c.Nodes {
-		if !nd.Stopped() && !nd.Removed() && !nd.CatchingUp() {
-			proposer = nd
-			break
-		}
-	}
-	if proposer == nil {
-		return -1, fmt.Errorf("testcluster: no live member to drive AddNode")
-	}
-	next, err := proposer.ReconfigureAdd(id, 0)
-	if err != nil {
-		return -1, fmt.Errorf("testcluster: add node %d: %w", id, err)
-	}
-	cfg := c.cfg
-	cfg.Rejoin = true
-	cfg.Initial = next
-	if err := c.bootNode(id, cfg); err != nil {
-		return -1, fmt.Errorf("testcluster: boot node %d: %w", id, err)
-	}
-	return int(id), nil
-}
-
-// AddNode is TryAddNode with test-fatal error handling.
-func (c *Cluster) AddNode(t TB) int {
+// Lease is Session for tests: a failed lease is fatal.
+func (c *Cluster) Lease(t TB, node, sess int) kite.Session {
 	t.Helper()
-	id, err := c.TryAddNode()
+	s, err := c.Session(node, sess)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("lease session %d on node %d: %v", sess, node, err)
 	}
-	return id
+	return s
 }
 
-// TryRemoveNode removes replica i from the group through a surviving
-// member and crash-stops it. Its server stays bound (answering session
-// errors), mirroring kite-node's behaviour when an operator removes a live
-// replica.
-func (c *Cluster) TryRemoveNode(i int) error {
-	var proposer *core.Node
-	for _, nd := range c.Nodes {
-		if int(nd.ID) != i && !nd.Stopped() && !nd.Removed() && !nd.CatchingUp() {
-			proposer = nd
-			break
-		}
+// leaser returns machine node's session source, dialing its client (one
+// per group on a sharded deployment, composed by client.DialSharded) on
+// first use.
+func (c *Cluster) leaser(node int) (func() (kite.Session, error), error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if lease := c.leasers[node]; lease != nil {
+		return lease, nil
 	}
-	if proposer == nil {
-		return fmt.Errorf("testcluster: no surviving member to drive RemoveNode")
-	}
-	if _, err := proposer.ReconfigureRemove(uint8(i), 0); err != nil {
-		return fmt.Errorf("testcluster: remove node %d: %w", i, err)
-	}
-	c.Nodes[i].Stop()
-	return nil
-}
-
-// RemoveNode is TryRemoveNode with test-fatal error handling.
-func (c *Cluster) RemoveNode(t TB, i int) {
-	t.Helper()
-	if err := c.TryRemoveNode(i); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Chaos adapts the cluster into a chaos.Target: workload sessions are
-// leased through real clients over loopback UDP (with chaos-sized
-// timeouts), faults hit the replica links, lifecycle operations go through
-// the error-returning variants. Leases freed by the workload recycle
-// through the server's pool, so chaos re-leasing stays within the
-// per-node session budget.
-func (c *Cluster) Chaos() chaos.Target {
-	ct := &chaosTarget{c: c, clients: make(map[int]*client.Client)}
-	c.t.Cleanup(ct.close)
-	return ct
-}
-
-type chaosTarget struct {
-	c *Cluster
-
-	mu      sync.Mutex
-	clients map[int]*client.Client
-}
-
-func (t *chaosTarget) close() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, cl := range t.clients {
-		cl.Close()
-	}
-	t.clients = map[int]*client.Client{}
-}
-
-func (t *chaosTarget) Backend() string      { return "remote" }
-func (t *chaosTarget) Nodes() int           { return t.c.boot }
-func (t *chaosTarget) SessionsPerNode() int { return t.c.cfg.Workers * t.c.cfg.SessionsPerWorker }
-
-func (t *chaosTarget) Session(node, sess int) (kite.Session, error) {
-	t.mu.Lock()
-	cl := t.clients[node]
-	t.mu.Unlock()
-	if cl == nil {
-		var err error
-		cl, err = client.Dial(t.c.Addr(node), client.Options{
-			DialTimeout:   2 * time.Second,
-			OpTimeout:     3 * time.Second,
-			RetryInterval: 25 * time.Millisecond,
-		})
+	var lease func() (kite.Session, error)
+	if c.backend.sharded() {
+		sc, err := client.DialSharded(c.Addrs(node), c.dial)
 		if err != nil {
 			return nil, err
 		}
-		t.mu.Lock()
-		if prev := t.clients[node]; prev != nil {
-			t.mu.Unlock()
-			cl.Close()
-			cl = prev
-		} else {
-			t.clients[node] = cl
-			t.mu.Unlock()
+		c.clients, lease = append(c.clients, sc), sc.NewSession
+	} else {
+		cl, err := client.Dial(c.Addr(node), c.dial)
+		if err != nil {
+			return nil, err
 		}
+		c.clients = append(c.clients, cl)
+		lease = func() (kite.Session, error) { return cl.NewSession() }
 	}
-	return cl.NewSession()
+	c.leasers[node] = lease
+	return lease, nil
 }
 
-func (t *chaosTarget) Faults() *transport.FaultSet { return t.c.Faults() }
-func (t *chaosTarget) StopNode(node int)           { t.c.StopNode(node) }
-func (t *chaosTarget) CrashNode(node int)          { t.c.CrashNode(node) }
-func (t *chaosTarget) RestartNode(node int) error  { return t.c.TryRestartNode(node) }
-func (t *chaosTarget) AwaitRejoin(node int, timeout time.Duration) bool {
-	return t.c.TryAwaitRejoin(node, timeout)
+// Addrs returns machine node's session-server address in every group — the
+// shard map client.DialSharded takes. Remote backends only.
+func (c *Cluster) Addrs(node int) []string {
+	addrs := make([]string, len(c.nets))
+	for g, n := range c.nets {
+		addrs[g] = n.server(uint8(node)).Addr()
+	}
+	return addrs
 }
-func (t *chaosTarget) AddNode() (int, error)     { return t.c.TryAddNode() }
-func (t *chaosTarget) RemoveNode(node int) error { return t.c.TryRemoveNode(node) }
+
+// Addr returns replica node's session-server address (group 0's on a
+// sharded deployment). Remote backends only.
+func (c *Cluster) Addr(node int) string { return c.Server(node).Addr() }
+
+// Server returns replica node's session server (group 0's on a sharded
+// deployment). Remote backends only.
+func (c *Cluster) Server(node int) *server.Server { return c.nets[0].server(uint8(node)) }
+
+// Close closes the harness's clients, then the deployment.
+func (c *Cluster) Close() {
+	c.mu.Lock()
+	for _, cl := range c.clients {
+		cl.Close()
+	}
+	c.clients = nil
+	c.mu.Unlock()
+	c.Deployment.Close()
+}
+
+// udpNetwork is one replica group's loopback-UDP core.Network: a
+// fault-wrapped UDP transport per replica, on ports reserved for the whole
+// id space up front (so AddNode needs no re-wiring), and a session server
+// per replica that advertises the group's place in the shard map and is
+// rebound to every new incarnation, so clients keep their dial target
+// across restarts. Fault injectors outlive incarnations too: installed
+// rules survive a replica's restart.
+type udpNetwork struct {
+	ports         []int
+	workers       int
+	groups, group int
+	faults        *transport.FaultSet
+
+	mu      sync.Mutex
+	eps     map[uint8]*transport.FaultInjector
+	servers map[uint8]*server.Server
+}
+
+func newUDPNetwork(workers, groups, group int) (*udpNetwork, error) {
+	ports, err := reservePorts(llc.MaxNodes * workers)
+	if err != nil {
+		return nil, err
+	}
+	return &udpNetwork{
+		ports: ports, workers: workers, groups: groups, group: group,
+		faults:  transport.NewFaultSet(),
+		eps:     make(map[uint8]*transport.FaultInjector),
+		servers: make(map[uint8]*server.Server),
+	}, nil
+}
+
+func (n *udpNetwork) Endpoint(id uint8) (transport.Transport, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if fi := n.eps[id]; fi != nil {
+		return fi, nil
+	}
+	udp, err := transport.NewUDP(transport.GroupUDPConfig(id, n.workers, llc.MaxNodes, func(node, w int) string {
+		return fmt.Sprintf("127.0.0.1:%d", n.ports[node*n.workers+w])
+	}))
+	if err != nil {
+		return nil, err
+	}
+	fi := transport.NewFaultInjector(udp, int64(id)+1)
+	n.eps[id] = fi
+	n.faults.Add(fi)
+	return fi, nil
+}
+
+func (n *udpNetwork) Started(nd *core.Node) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if srv := n.servers[nd.ID]; srv != nil {
+		srv.Rebind(nd)
+		return nil
+	}
+	srv, err := server.New(nd, server.Config{Addr: "127.0.0.1:0", Groups: n.groups, Group: n.group})
+	if err != nil {
+		return err
+	}
+	n.servers[nd.ID] = srv
+	return nil
+}
+
+func (n *udpNetwork) Faults() *transport.FaultSet { return n.faults }
+
+func (n *udpNetwork) Close() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, srv := range n.servers {
+		srv.Close()
+	}
+	for _, fi := range n.eps {
+		fi.Close()
+	}
+}
+
+func (n *udpNetwork) server(id uint8) *server.Server {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.servers[id]
+}
+
+// reservePorts grabs n free loopback UDP ports. The sockets are closed
+// before use, so a clashing process could steal one — fine for tests.
+func reservePorts(n int) ([]int, error) {
+	ports := make([]int, n)
+	conns := make([]*net.UDPConn, 0, n)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for i := range ports {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return nil, err
+		}
+		conns = append(conns, c)
+		ports[i] = c.LocalAddr().(*net.UDPAddr).Port
+	}
+	return ports, nil
+}

@@ -303,76 +303,90 @@ func sortLinkStats(s []LinkStat) {
 	})
 }
 
-// FaultSet fans one fault surface out over several FaultInjectors — the
-// shape of a multi-process-style deployment where every node owns its own
-// transport (and therefore its own injector). Rules are applied to every
-// member; since an injector only consults rules matching its own outgoing
-// traffic, the fan-out is harmless and the set behaves exactly like one
-// injector wrapping a shared transport. A set over a single injector is the
-// degenerate (in-process) case, so chaos tooling can target both shapes
-// through one type.
+// Faults is the rule surface a FaultInjector and a FaultSet share, so a
+// deployment of any shape — one injector over a shared transport, one per
+// node, one set per replica group — exposes the same controls.
+type Faults interface {
+	DropLink(from, to uint8, prob float64)
+	DupLink(from, to uint8, prob float64)
+	DelayLink(from, to uint8, d time.Duration)
+	CutLink(from, to uint8, cut bool)
+	IsolateNode(n uint8, isolated bool)
+	Clear()
+	LinkStats() []LinkStat
+}
+
+// FaultSet fans one fault surface out over several members — injectors,
+// or other sets. A multi-process-style deployment gives every node its own
+// transport (and therefore its own injector); a sharded one has a set per
+// replica group. Rules are applied to every member; since an injector only
+// consults rules matching its own outgoing traffic, the fan-out is harmless
+// and the set behaves exactly like one injector wrapping a shared
+// transport. A set over a single injector is the degenerate (in-process)
+// case, so chaos tooling can target every shape through one type.
 type FaultSet struct {
-	mu   sync.RWMutex
-	injs []*FaultInjector
+	mu      sync.RWMutex
+	members []Faults
 }
 
-// NewFaultSet builds a set over the given injectors.
-func NewFaultSet(injs ...*FaultInjector) *FaultSet {
-	return &FaultSet{injs: append([]*FaultInjector(nil), injs...)}
+// NewFaultSet builds a set over the given members.
+func NewFaultSet(members ...Faults) *FaultSet {
+	return &FaultSet{members: append([]Faults(nil), members...)}
 }
 
-// Add grows the set (a deployment booting another node mid-run).
-func (s *FaultSet) Add(fi *FaultInjector) {
+// Add grows the set (a deployment booting another node mid-run). Members
+// that are sets stay live: whatever they grow by later is covered too.
+func (s *FaultSet) Add(m Faults) {
 	s.mu.Lock()
-	s.injs = append(s.injs, fi)
+	s.members = append(s.members, m)
 	s.mu.Unlock()
 }
 
-func (s *FaultSet) each(fn func(*FaultInjector)) {
+func (s *FaultSet) each(fn func(Faults)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, fi := range s.injs {
-		fn(fi)
+	for _, m := range s.members {
+		fn(m)
 	}
 }
 
-// DropLink applies the drop rule to every member injector.
+// DropLink applies the drop rule to every member.
 func (s *FaultSet) DropLink(from, to uint8, prob float64) {
-	s.each(func(fi *FaultInjector) { fi.DropLink(from, to, prob) })
+	s.each(func(m Faults) { m.DropLink(from, to, prob) })
 }
 
-// DupLink applies the duplication rule to every member injector.
+// DupLink applies the duplication rule to every member.
 func (s *FaultSet) DupLink(from, to uint8, prob float64) {
-	s.each(func(fi *FaultInjector) { fi.DupLink(from, to, prob) })
+	s.each(func(m Faults) { m.DupLink(from, to, prob) })
 }
 
-// DelayLink applies the delay rule to every member injector.
+// DelayLink applies the delay rule to every member.
 func (s *FaultSet) DelayLink(from, to uint8, d time.Duration) {
-	s.each(func(fi *FaultInjector) { fi.DelayLink(from, to, d) })
+	s.each(func(m Faults) { m.DelayLink(from, to, d) })
 }
 
-// CutLink applies the cut rule to every member injector.
+// CutLink applies the cut rule to every member.
 func (s *FaultSet) CutLink(from, to uint8, cut bool) {
-	s.each(func(fi *FaultInjector) { fi.CutLink(from, to, cut) })
+	s.each(func(m Faults) { m.CutLink(from, to, cut) })
 }
 
-// IsolateNode partitions (or heals) node n on every member injector.
+// IsolateNode partitions (or heals) node n on every member.
 func (s *FaultSet) IsolateNode(n uint8, isolated bool) {
-	s.each(func(fi *FaultInjector) { fi.IsolateNode(n, isolated) })
+	s.each(func(m Faults) { m.IsolateNode(n, isolated) })
 }
 
-// Clear heals every member injector (counters preserved, as on the
+// Clear heals every member (counters preserved, as on the
 // injectors themselves).
 func (s *FaultSet) Clear() {
-	s.each(func(fi *FaultInjector) { fi.Clear() })
+	s.each(func(m Faults) { m.Clear() })
 }
 
 // LinkStats merges every member's per-link ledger, summing per link and
 // sorting by (from, to).
 func (s *FaultSet) LinkStats() []LinkStat {
 	acc := make(map[linkKey]*LinkStat)
-	s.each(func(fi *FaultInjector) {
-		for _, ls := range fi.LinkStats() {
+	s.each(func(m Faults) {
+		for _, ls := range m.LinkStats() {
 			k := linkKey{ls.From, ls.To}
 			if a := acc[k]; a != nil {
 				a.Dropped += ls.Dropped

@@ -185,7 +185,9 @@ func TestFaultLinkStats(t *testing.T) {
 
 // TestFaultSetFanOut: rules applied through a FaultSet take effect on every
 // member injector (only the member owning the sending node consults them,
-// so the observable behaviour matches a single shared injector).
+// so the observable behaviour matches a single shared injector), including
+// injectors a nested set gains after it was added — a sharded deployment's
+// per-group set growing by an added replica.
 func TestFaultSetFanOut(t *testing.T) {
 	trA := NewInProc(2, 1, 64)
 	trB := NewInProc(2, 1, 64)
@@ -193,8 +195,9 @@ func TestFaultSetFanOut(t *testing.T) {
 	fB := NewFaultInjector(trB, 1)
 	defer fA.Close()
 	defer fB.Close()
-	set := NewFaultSet(fA)
-	set.Add(fB)
+	group := NewFaultSet(fA)
+	set := NewFaultSet(group)
+	group.Add(fB)
 
 	set.CutLink(0, 1, true)
 	fA.Send(Endpoint{Node: 1}, mkBatch(0, 1))

@@ -285,7 +285,14 @@ func TestUDPBatchSyscallCounters(t *testing.T) {
 	}
 	recvBatches(t, u1.Recv(Endpoint{Node: 1}), n, 5*time.Second)
 
+	// The sender counts a syscall once it returns, which can be after the
+	// receiver already holds the datagrams: let the ledger settle first.
 	st := u0.Stats()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st.BatchedDatagrams.Load()+st.FallbackSyscalls.Load() >= n {
+			break
+		}
+	}
 	batched := st.BatchedSyscalls.Load()
 	fallback := st.FallbackSyscalls.Load()
 	if batched+fallback == 0 {

@@ -109,6 +109,27 @@ type UDPConfig struct {
 	DisableBatchIO bool
 }
 
+// GroupUDPConfig is the UDPConfig of replica id in a group whose sockets
+// follow one address plan: worker w of node n listens at addr(n, w). The
+// address book covers every id in [0, nodes) — ids that never boot are just
+// dark sockets, so a replica added later is reachable without re-wiring
+// anyone.
+func GroupUDPConfig(id uint8, workers, nodes int, addr func(node, worker int) string) UDPConfig {
+	cfg := UDPConfig{LocalNode: id, Workers: workers, Peers: make(map[uint8][]string)}
+	for n := 0; n < nodes; n++ {
+		addrs := make([]string, workers)
+		for w := range addrs {
+			addrs[w] = addr(n, w)
+		}
+		if n == int(id) {
+			cfg.Listen = addrs
+		} else {
+			cfg.Peers[uint8(n)] = addrs
+		}
+	}
+	return cfg
+}
+
 // NewUDP binds the local sockets and resolves peer addresses.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if len(cfg.Listen) != cfg.Workers {

@@ -124,10 +124,14 @@ func (o Options) toConfig() core.Config {
 	}
 }
 
-// Cluster is an in-process Kite deployment.
+// Cluster is an in-process Kite deployment. Its lifecycle methods are the
+// module's one replica-lifecycle method set (core.Deployment), shared with
+// sharded.Cluster and the test harness.
 type Cluster struct {
 	c *core.Cluster
 }
+
+var _ core.Deployment = (*Cluster)(nil)
 
 // NewCluster starts an in-process deployment with the given options.
 func NewCluster(opts Options) (*Cluster, error) {
@@ -179,7 +183,7 @@ func (c *Cluster) AddNode() (int, error) { return c.c.AddNode() }
 func (c *Cluster) RemoveNode(node int) error { return c.c.RemoveNode(node) }
 
 // SessionsPerNode returns how many sessions each replica offers.
-func (c *Cluster) SessionsPerNode() int { return c.c.Node(0).Sessions() }
+func (c *Cluster) SessionsPerNode() int { return c.c.SessionsPerNode() }
 
 // Session opens a handle to session sess of replica node, as the unified
 // Session interface. Handles are single-threaded: synchronous calls must
@@ -224,20 +228,19 @@ func (c *Cluster) RestartNode(node int) error { return c.c.RestartNode(node) }
 // or removed mid-sweep (its sweep aborted, it will never serve) reports
 // false rather than masquerading as caught up.
 func (c *Cluster) AwaitRejoin(node int, timeout time.Duration) bool {
-	nd := c.c.Node(node)
-	return nd.AwaitCatchup(timeout) && !nd.Stopped() && !nd.Removed()
+	return c.c.AwaitRejoin(node, timeout)
 }
 
 // NodeCatchup reports a replica's rejoin-sweep progress (zero value for
 // replicas that never restarted).
 func (c *Cluster) NodeCatchup(node int) core.CatchupStats { return c.c.Node(node).Catchup() }
 
-// Faults exposes the network fault injector (drop/delay/cut links,
+// Faults exposes the network's fault surface (drop/delay/cut links,
 // partition nodes) for failure testing.
-func (c *Cluster) Faults() *transport.FaultInjector { return c.c.Faults() }
+func (c *Cluster) Faults() *transport.FaultSet { return c.c.Faults() }
 
 // NodeStats reports a replica's slow-path activity counters.
-func (c *Cluster) NodeStats(node int) core.Stats { return c.c.Node(node).SlowPathStats() }
+func (c *Cluster) NodeStats(node int) core.Stats { return c.c.NodeStats(node) }
 
 // CompletedOps returns the total operations completed by replica node.
 func (c *Cluster) CompletedOps(node int) uint64 { return c.c.Node(node).CompletedTotal() }

@@ -27,97 +27,24 @@ import (
 	"kite/sharded"
 )
 
-// memberHarness is a deployment whose membership can change live.
-type memberHarness struct {
-	session func(t *testing.T, node, sess int) kite.Session
-	addNode func(t *testing.T) int
-	// awaitJoin gates on the added replica's catch-up sweep.
-	awaitJoin  func(t *testing.T, node int)
-	removeNode func(t *testing.T, node int)
-	// members returns the current (epoch, ids).
-	members func(t *testing.T) (uint32, []int)
-}
-
-func inprocMemberHarness(t *testing.T) *memberHarness {
+// members reads group membership the way each backend's users see it:
+// kite.Cluster.Members in process, and a client's Refresh + Members over
+// the wire (asking node 1, which survives every reconfiguration below).
+func members(t *testing.T, h *testcluster.Cluster) (uint32, []int) {
 	t.Helper()
-	c, err := kite.NewCluster(kite.Options{
-		Nodes: 3, Workers: 2, SessionsPerWorker: 4, Capacity: 1 << 12,
-	})
+	if kc, ok := h.Deployment.(*kite.Cluster); ok {
+		m := kc.Members()
+		return m.Epoch, m.Nodes
+	}
+	cl, err := client.Dial(h.Addr(1), client.Options{DialTimeout: 2 * time.Second})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("dial node 1: %v", err)
 	}
-	t.Cleanup(c.Close)
-	return &memberHarness{
-		session: func(t *testing.T, node, sess int) kite.Session { return c.Session(node, sess) },
-		addNode: func(t *testing.T) int {
-			id, err := c.AddNode()
-			if err != nil {
-				t.Fatalf("AddNode: %v", err)
-			}
-			return id
-		},
-		awaitJoin: func(t *testing.T, node int) {
-			if !c.AwaitRejoin(node, 30*time.Second) {
-				t.Fatalf("node %d never finished catching up", node)
-			}
-		},
-		removeNode: func(t *testing.T, node int) {
-			if err := c.RemoveNode(node); err != nil {
-				t.Fatalf("RemoveNode(%d): %v", node, err)
-			}
-		},
-		members: func(t *testing.T) (uint32, []int) {
-			m := c.Members()
-			return m.Epoch, m.Nodes
-		},
+	defer cl.Close()
+	if err := cl.Refresh(); err != nil {
+		t.Fatalf("refresh: %v", err)
 	}
-}
-
-func remoteMemberHarness(t *testing.T) *memberHarness {
-	t.Helper()
-	tc := testcluster.Start(t, 3)
-	var (
-		mu      sync.Mutex
-		clients = map[int]*client.Client{}
-	)
-	dial := func(t *testing.T, node int) *client.Client {
-		mu.Lock()
-		defer mu.Unlock()
-		if cl, ok := clients[node]; ok {
-			return cl
-		}
-		cl, err := client.Dial(tc.Addr(node), client.Options{
-			DialTimeout: 2 * time.Second, OpTimeout: 15 * time.Second,
-			RetryInterval: 25 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("dial node %d: %v", node, err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		clients[node] = cl
-		return cl
-	}
-	return &memberHarness{
-		session: func(t *testing.T, node, sess int) kite.Session {
-			s, err := dial(t, node).NewSession()
-			if err != nil {
-				t.Fatalf("session on node %d: %v", node, err)
-			}
-			return s
-		},
-		addNode: func(t *testing.T) int { return tc.AddNode(t) },
-		awaitJoin: func(t *testing.T, node int) {
-			tc.AwaitRejoin(t, node, 30*time.Second)
-		},
-		removeNode: func(t *testing.T, node int) { tc.RemoveNode(t, node) },
-		members: func(t *testing.T) (uint32, []int) {
-			cl := dial(t, 1) // node 1 survives every reconfiguration below
-			if err := cl.Refresh(); err != nil {
-				t.Fatalf("refresh: %v", err)
-			}
-			return cl.Members()
-		},
-	}
+	return cl.Members()
 }
 
 // runMembershipWorkload is the shared scenario: a producer/consumer pair
@@ -127,12 +54,12 @@ func remoteMemberHarness(t *testing.T) *memberHarness {
 // in a history recorder; release consistency across whatever configuration
 // epochs the operations spanned is judged offline by the shared verifier —
 // the same checker the conformance, restart and chaos suites use.
-func runMembershipWorkload(t *testing.T, h *memberHarness) {
+func runMembershipWorkload(t *testing.T, h *testcluster.Cluster) {
 	const payloadKeys = 8
 	const flagKey = 9_000
 	log := history.New()
-	prod := log.Wrap(h.session(t, 1, 0))
-	cons := log.Wrap(h.session(t, 2, 1))
+	prod := log.Wrap(h.Lease(t, 1, 0))
+	cons := log.Wrap(h.Lease(t, 2, 1))
 
 	// probe drives one acquire-then-read-payloads pass through a recorded
 	// session; the verifier decides afterwards what the reads were allowed
@@ -211,22 +138,27 @@ func runMembershipWorkload(t *testing.T, h *memberHarness) {
 		}
 	}
 	waitRounds(3)
-	id := h.addNode(t)
+	id, err := h.AddNode()
+	if err != nil {
+		t.Fatalf("AddNode: %v", err)
+	}
 	if id != 3 {
 		t.Fatalf("AddNode id = %d, want 3", id)
 	}
-	h.awaitJoin(t, id)
-	if epoch, nodes := h.members(t); epoch != 1 || len(nodes) != 4 {
+	awaitRejoin(t, h, id)
+	if epoch, nodes := members(t, h); epoch != 1 || len(nodes) != 4 {
 		t.Fatalf("after add: epoch %d members %v", epoch, nodes)
 	}
 	// The joiner must serve release-consistent state immediately.
-	joinSess := log.Wrap(h.session(t, 3, 2))
+	joinSess := log.Wrap(h.Lease(t, 3, 2))
 	probe(t, joinSess)
 
 	// Keep the workload running and SHRINK: remove an original replica.
 	waitRounds(rounds.Load() + 3)
-	h.removeNode(t, 0)
-	if epoch, nodes := h.members(t); epoch != 2 || len(nodes) != 3 {
+	if err := h.RemoveNode(0); err != nil {
+		t.Fatalf("RemoveNode(0): %v", err)
+	}
+	if epoch, nodes := members(t, h); epoch != 2 || len(nodes) != 3 {
 		t.Fatalf("after remove: epoch %d members %v", epoch, nodes)
 	} else {
 		for _, n := range nodes {
@@ -234,6 +166,10 @@ func runMembershipWorkload(t *testing.T, h *memberHarness) {
 				t.Fatalf("node 0 still a member: %v", nodes)
 			}
 		}
+	}
+	// A removed replica comes back only through AddNode, on every backend.
+	if err := h.RestartNode(0); err == nil {
+		t.Fatal("RestartNode brought back a removed replica")
 	}
 	// The workload must keep making progress on the reconfigured group...
 	waitRounds(rounds.Load() + 3)
@@ -256,11 +192,11 @@ func runMembershipWorkload(t *testing.T, h *memberHarness) {
 // reconfiguration-under-load conformance tests of DESIGN.md "Membership"
 // (testing strategy matrix row "membership").
 func TestMembershipAddRemoveMidWorkloadInproc(t *testing.T) {
-	runMembershipWorkload(t, inprocMemberHarness(t))
+	runMembershipWorkload(t, testcluster.Start(t, testcluster.Options{Backend: testcluster.InProc}))
 }
 
 func TestMembershipAddRemoveMidWorkloadRemote(t *testing.T) {
-	runMembershipWorkload(t, remoteMemberHarness(t))
+	runMembershipWorkload(t, testcluster.Start(t, testcluster.Options{Backend: testcluster.Remote}))
 }
 
 // TestMembershipReservedKeyRejected pins the guard on the membership
@@ -268,15 +204,9 @@ func TestMembershipAddRemoveMidWorkloadRemote(t *testing.T) {
 // ErrReservedKey on both backends (a write there would wedge — or subvert —
 // reconfiguration).
 func TestMembershipReservedKeyRejected(t *testing.T) {
-	for _, h := range []struct {
-		name string
-		mk   func(*testing.T) *memberHarness
-	}{
-		{"inproc", inprocMemberHarness},
-		{"remote", remoteMemberHarness},
-	} {
-		t.Run(h.name, func(t *testing.T) {
-			s := h.mk(t).session(t, 0, 0)
+	for _, b := range []testcluster.Backend{testcluster.InProc, testcluster.Remote} {
+		t.Run(string(b), func(t *testing.T) {
+			s := testcluster.Start(t, testcluster.Options{Backend: b}).Lease(t, 0, 0)
 			if err := s.Write(^uint64(0), []byte("x")); !errors.Is(err, kite.ErrReservedKey) {
 				t.Fatalf("write to reserved key: %v, want ErrReservedKey", err)
 			}

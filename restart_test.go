@@ -17,6 +17,7 @@ import (
 
 	"kite"
 	"kite/internal/history"
+	"kite/internal/testcluster"
 	"kite/internal/verifier"
 )
 
@@ -26,17 +27,17 @@ import (
 // release-consistent state: the acquired flag, every payload key (from its
 // own swept store), and the exactly-once RMW counter.
 func TestConformanceRestartRejoin(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		victim := h.nodes - 1
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		victim := h.Nodes() - 1
 		log := history.New()
-		prod := log.Wrap(h.session(t, 0, 0))
+		prod := log.Wrap(h.Lease(t, 0, 0))
 
 		// Background load on another node keeps the deployment busy across
 		// the kill/rejoin. Its relaxed writes broadcast to the victim too:
 		// while the victim is down they pile up unacked (throttling the
 		// writer), and the rejoining incarnation's acks release it — the
 		// "buffers live traffic" half of the rejoin story.
-		bg := log.Wrap(h.session(t, 1, 1))
+		bg := log.Wrap(h.Lease(t, 1, 1))
 		stopBG := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -76,10 +77,10 @@ func TestConformanceRestartRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		h.restart(t, victim)
-		h.await(t, victim)
+		restart(t, h, victim)
+		awaitRejoin(t, h, victim)
 
-		cons := log.Wrap(h.session(t, victim, 0))
+		cons := log.Wrap(h.Lease(t, victim, 0))
 		if v, err := cons.AcquireRead(300); err != nil || string(v) != "go" {
 			t.Fatalf("acquire on rejoined replica = %q, %v", v, err)
 		}
@@ -117,10 +118,10 @@ func TestConformanceRestartRejoin(t *testing.T) {
 // the rejoined incarnation's first acquire, and only fresh relaxed traffic
 // (a new full-ack + validate broadcast) may put it back on the fast path.
 func TestRestartAcquireFallsBack(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, h *harness) {
-		victim := h.nodes - 1
-		prod := h.session(t, 0, 0)
-		vic := h.session(t, victim, 0)
+	forEachBackend(t, func(t *testing.T, h *testcluster.Cluster) {
+		victim := h.Nodes() - 1
+		prod := h.Lease(t, 0, 0)
+		vic := h.Lease(t, victim, 0)
 
 		// Warm the victim's valid bit: write a relaxed key and poll until an
 		// acquire on the victim is served locally (full-ack + validate landed).
@@ -129,12 +130,12 @@ func TestRestartAcquireFallsBack(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			before := h.stats(victim).LocalAcqHits
+			before := h.NodeStats(victim).LocalAcqHits
 			v, err := vic.AcquireRead(400)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h.stats(victim).LocalAcqHits > before {
+			if h.NodeStats(victim).LocalAcqHits > before {
 				// A local hit serves the validated (fully-acked) write.
 				if string(v) != "warm" {
 					t.Fatalf("local hit = %q, want %q", v, "warm")
@@ -142,22 +143,22 @@ func TestRestartAcquireFallsBack(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("victim never served key 400 locally: %+v", h.stats(victim))
+				t.Fatalf("victim never served key 400 locally: %+v", h.NodeStats(victim))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 
-		h.restart(t, victim)
-		h.await(t, victim)
+		restart(t, h, victim)
+		awaitRejoin(t, h, victim)
 
 		// First acquire on the rejoined incarnation: the swept/replayed store
 		// must not claim validity — the read pays the quorum round.
-		cons := h.session(t, victim, 0)
-		hits0, fb0 := h.stats(victim).LocalAcqHits, h.stats(victim).AcqFallbacks
+		cons := h.Lease(t, victim, 0)
+		hits0, fb0 := h.NodeStats(victim).LocalAcqHits, h.NodeStats(victim).AcqFallbacks
 		if v, err := cons.AcquireRead(400); err != nil || string(v) != "warm" {
 			t.Fatalf("acquire on rejoined replica = %q, %v", v, err)
 		}
-		after := h.stats(victim)
+		after := h.NodeStats(victim)
 		if after.AcqFallbacks <= fb0 {
 			t.Fatalf("rejoined replica's first acquire did not fall back (fallbacks %d -> %d)",
 				fb0, after.AcqFallbacks)
@@ -174,19 +175,19 @@ func TestRestartAcquireFallsBack(t *testing.T) {
 		}
 		deadline = time.Now().Add(20 * time.Second)
 		for {
-			before := h.stats(victim).LocalAcqHits
+			before := h.NodeStats(victim).LocalAcqHits
 			v, err := cons.AcquireRead(400)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h.stats(victim).LocalAcqHits > before {
+			if h.NodeStats(victim).LocalAcqHits > before {
 				if string(v) != "again" {
 					t.Fatalf("local hit after rejoin = %q, want %q", v, "again")
 				}
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("rejoined replica never re-entered the fast path: %+v", h.stats(victim))
+				t.Fatalf("rejoined replica never re-entered the fast path: %+v", h.NodeStats(victim))
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -202,16 +203,16 @@ func TestRestartAcquireFallsBack(t *testing.T) {
 // served by any replica, including the rejoined one — must succeed with no
 // retry loop.
 func TestCrossShardRestartFence(t *testing.T) {
-	forEachShardedBackend(t, func(t *testing.T, h *shardHarness) {
+	forEachShardedBackend(t, func(t *testing.T, h *testcluster.Cluster) {
 		kA := firstKeyIn(t, h, 0, 10_000) // payload: group A
 		kB := firstKeyIn(t, h, 1, 20_000) // flag: group B
-		victim := h.nodes - 1
+		victim := h.Nodes() - 1
 
-		prod := h.session(t, 0, 0)
+		prod := h.Lease(t, 0, 0)
 		if err := prod.Write(kA, []byte("seed")); err != nil {
 			t.Fatal(err)
 		}
-		h.restart(t, victim)
+		restart(t, h, victim)
 
 		// Write the payload and release WHILE the victim machine is (very
 		// likely still) rejoining: the release's fence must wait for the
@@ -224,8 +225,8 @@ func TestCrossShardRestartFence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		h.await(t, victim)
-		cons := h.session(t, victim, 0)
+		awaitRejoin(t, h, victim)
+		cons := h.Lease(t, victim, 0)
 		deadline := time.Now().Add(20 * time.Second)
 		for {
 			v, err := cons.AcquireRead(kB)

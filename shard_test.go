@@ -10,91 +10,27 @@ import (
 	"testing"
 	"time"
 
-	"kite"
-	"kite/client"
-	"kite/internal/shard"
 	"kite/internal/testcluster"
-	"kite/sharded"
 )
 
-// shardHarness is one running 2-group sharded deployment plus key-routing
-// knowledge.
-type shardHarness struct {
-	nodes   int
-	session func(t *testing.T, node, sess int) kite.Session
-	groupOf func(key uint64) int
-	// restart crash-stops machine node (its replica in every group) and
-	// rejoins a fresh incarnation; await blocks until every group's
-	// catch-up sweep completed.
-	restart func(t *testing.T, node int)
-	await   func(t *testing.T, node int)
-}
-
-func forEachShardedBackend(t *testing.T, body func(t *testing.T, h *shardHarness)) {
-	const groups, nodes = 2, 3
-	m := shard.NewMap(groups)
-	backends := []struct {
-		name string
-		make func(t *testing.T) *shardHarness
-	}{
-		{name: "inproc", make: func(t *testing.T) *shardHarness {
-			c, err := sharded.NewCluster(groups, kite.Options{
-				Nodes: nodes, Workers: 2, SessionsPerWorker: 4, Capacity: 1 << 12,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(c.Close)
-			return &shardHarness{
-				nodes:   nodes,
-				session: func(t *testing.T, node, sess int) kite.Session { return c.Session(node, sess) },
-				groupOf: c.GroupOf,
-				restart: func(t *testing.T, node int) {
-					if err := c.RestartNode(node); err != nil {
-						t.Fatalf("restart node %d: %v", node, err)
-					}
-				},
-				await: func(t *testing.T, node int) {
-					if !c.AwaitRejoin(node, 30*time.Second) {
-						t.Fatalf("node %d still catching up", node)
-					}
-				},
-			}
-		}},
-		{name: "remote", make: func(t *testing.T) *shardHarness {
-			cl := testcluster.StartSharded(t, groups, nodes)
-			clients := make([]*client.ShardedClient, nodes)
-			for node := range clients {
-				clients[node] = cl.DialSharded(t, node)
-			}
-			return &shardHarness{
-				nodes: nodes,
-				session: func(t *testing.T, node, sess int) kite.Session {
-					s, err := clients[node].NewSession()
-					if err != nil {
-						t.Fatalf("lease sharded session on node %d: %v", node, err)
-					}
-					return s
-				},
-				groupOf: m.Group,
-				restart: func(t *testing.T, node int) { cl.RestartNode(t, node) },
-				await:   func(t *testing.T, node int) { cl.AwaitRejoin(t, node, 30*time.Second) },
-			}
-		}},
-	}
-	for _, be := range backends {
-		be := be
+// forEachShardedBackend runs body against both sharded backends of the
+// shared harness (2 groups × 3 replicas), as subtests named by transport.
+func forEachShardedBackend(t *testing.T, body func(t *testing.T, h *testcluster.Cluster)) {
+	for _, be := range []struct {
+		name    string
+		backend testcluster.Backend
+	}{{"inproc", testcluster.ShardedInProc}, {"remote", testcluster.ShardedRemote}} {
 		t.Run(be.name, func(t *testing.T) {
-			body(t, be.make(t))
+			body(t, testcluster.Start(t, testcluster.Options{Backend: be.backend}))
 		})
 	}
 }
 
 // firstKeyIn returns the first key >= start owned by group g.
-func firstKeyIn(t *testing.T, h *shardHarness, g int, start uint64) uint64 {
+func firstKeyIn(t *testing.T, h *testcluster.Cluster, g int, start uint64) uint64 {
 	t.Helper()
 	for k := start; k < start+1<<16; k++ {
-		if h.groupOf(k) == g {
+		if h.GroupOf(k) == g {
 			return k
 		}
 	}
@@ -107,12 +43,12 @@ func firstKeyIn(t *testing.T, h *shardHarness, g int, start uint64) uint64 {
 // a consumer on a different machine that acquires the flag from group B
 // must then observe the payload in group A with a plain relaxed read.
 func TestCrossShardReleaseAcquire(t *testing.T) {
-	forEachShardedBackend(t, func(t *testing.T, h *shardHarness) {
+	forEachShardedBackend(t, func(t *testing.T, h *testcluster.Cluster) {
 		kA := firstKeyIn(t, h, 0, 10_000) // payload: group A
 		kB := firstKeyIn(t, h, 1, 20_000) // flag: group B
 
-		prod := h.session(t, 0, 0)
-		cons := h.session(t, h.nodes-1, 0)
+		prod := h.Lease(t, 0, 0)
+		cons := h.Lease(t, h.Nodes()-1, 0)
 		payload := []byte("cross-shard-payload")
 		if err := prod.Write(kA, payload); err != nil {
 			t.Fatal(err)
@@ -145,10 +81,10 @@ func TestCrossShardReleaseAcquire(t *testing.T) {
 // relaxed writes across both groups before a single release: every one of
 // them must be visible to the post-acquire consumer.
 func TestCrossShardManyWritesOneRelease(t *testing.T) {
-	forEachShardedBackend(t, func(t *testing.T, h *shardHarness) {
+	forEachShardedBackend(t, func(t *testing.T, h *testcluster.Cluster) {
 		flag := firstKeyIn(t, h, 1, 50_000)
-		prod := h.session(t, 0, 0)
-		cons := h.session(t, h.nodes-1, 0)
+		prod := h.Lease(t, 0, 0)
+		cons := h.Lease(t, h.Nodes()-1, 0)
 
 		const n = 64
 		base := uint64(30_000)
@@ -177,7 +113,7 @@ func TestCrossShardManyWritesOneRelease(t *testing.T) {
 			want := fmt.Sprintf("v%d", i)
 			if v, err := cons.Read(base + i); err != nil || string(v) != want {
 				t.Fatalf("key %d (group %d) = %q, %v; want %q after acquire",
-					base+i, h.groupOf(base+i), v, err, want)
+					base+i, h.GroupOf(base+i), v, err, want)
 			}
 		}
 	})
@@ -187,12 +123,12 @@ func TestCrossShardManyWritesOneRelease(t *testing.T) {
 // barrier too: a CAS in group B fences the session's earlier relaxed write
 // in group A.
 func TestCrossShardRMWFence(t *testing.T) {
-	forEachShardedBackend(t, func(t *testing.T, h *shardHarness) {
+	forEachShardedBackend(t, func(t *testing.T, h *testcluster.Cluster) {
 		kA := firstKeyIn(t, h, 0, 60_000)
 		kB := firstKeyIn(t, h, 1, 70_000)
 
-		prod := h.session(t, 0, 0)
-		cons := h.session(t, h.nodes-1, 0)
+		prod := h.Lease(t, 0, 0)
+		cons := h.Lease(t, h.Nodes()-1, 0)
 		if err := prod.Write(kA, []byte("guarded")); err != nil {
 			t.Fatal(err)
 		}

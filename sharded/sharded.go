@@ -20,18 +20,24 @@ package sharded
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"kite"
 	"kite/internal/core"
 	"kite/internal/shard"
-	"kite/internal/transport"
 )
 
 // Cluster is an in-process sharded Kite deployment: Groups independent
 // replica groups, each a complete kite.Cluster with its own membership and
 // transport, plus the key routing that binds them into one key space.
+//
+// Its lifecycle methods — PauseNode, StopNode, CrashNode, RestartNode,
+// AwaitRejoin, AddNode, RemoveNode, NodeStats, Faults, Close — are
+// core.GroupSet's: a node id names a machine, which hosts one replica of
+// every group, so each applies to that machine's replica in every group
+// (the machine sleeps, dies, restarts or joins as a whole), stats sum
+// across groups, and a fault rule hits the same machine pair in each group.
 type Cluster struct {
+	core.GroupSet
 	groups []*kite.Cluster
 	m      shard.Map
 }
@@ -59,17 +65,13 @@ func NewCluster(groups int, opts kite.Options) (*Cluster, error) {
 			return nil, fmt.Errorf("sharded: group %d: %w", g, err)
 		}
 		c.groups = append(c.groups, kc)
+		c.GroupSet = append(c.GroupSet, kc)
 	}
 	return c, nil
 }
 
 // Groups returns the number of replica groups.
 func (c *Cluster) Groups() int { return len(c.groups) }
-
-// Nodes returns the number of replica slots in each group (boot members
-// plus added replicas; see kite.Cluster.Nodes). The live member set is
-// Members().
-func (c *Cluster) Nodes() int { return c.groups[0].Nodes() }
 
 // Members returns each group's current membership, index-aligned with
 // Group. Groups reconfigure independently, so epochs may differ; a machine
@@ -82,59 +84,12 @@ func (c *Cluster) Members() []kite.Membership {
 	return out
 }
 
-// AddNode grows every group by one replica on the same new machine id (a
-// machine hosts one replica of each group, mirroring StopNode/RestartNode).
-// Each group commits its own configuration and its joiner catches up
-// independently; gate on AwaitRejoin before leasing the new node's
-// sessions. On a partial failure the error reports the group that refused —
-// earlier groups keep their new replica (their reconfigurations committed;
-// retry AddNode after fixing the cause, or remove the id again).
-func (c *Cluster) AddNode() (int, error) {
-	id := -1
-	for g, kc := range c.groups {
-		nid, err := kc.AddNode()
-		if err != nil {
-			return -1, fmt.Errorf("sharded: group %d: %w", g, err)
-		}
-		if id >= 0 && nid != id {
-			return -1, fmt.Errorf("sharded: group %d assigned id %d, group 0 assigned %d", g, nid, id)
-		}
-		id = nid
-	}
-	return id, nil
-}
-
-// RemoveNode removes the machine's replica from every group.
-func (c *Cluster) RemoveNode(node int) error {
-	for g, kc := range c.groups {
-		if err := kc.RemoveNode(node); err != nil {
-			return fmt.Errorf("sharded: group %d: %w", g, err)
-		}
-	}
-	return nil
-}
-
-// SessionsPerNode returns how many sessions each replica offers (identical
-// across groups).
-func (c *Cluster) SessionsPerNode() int { return c.groups[0].SessionsPerNode() }
-
 // GroupOf reports which replica group owns key — useful for tests and
 // diagnostics that need group-local keys.
 func (c *Cluster) GroupOf(key uint64) int { return c.m.Group(key) }
 
 // Group exposes one underlying replica group (stats, fault injection).
 func (c *Cluster) Group(g int) *kite.Cluster { return c.groups[g] }
-
-// Faults exposes every group's fault injector behind one fan-out surface:
-// a rule applied here partitions the same machine pair in each group, the
-// way a real network fault hits every replica a machine hosts.
-func (c *Cluster) Faults() *transport.FaultSet {
-	s := transport.NewFaultSet()
-	for _, kc := range c.groups {
-		s.Add(kc.Faults())
-	}
-	return s
-}
 
 // Session opens a sharded session at coordinates (node, sess): one
 // sub-session leased at the same coordinates in every group, composed into
@@ -149,78 +104,6 @@ func (c *Cluster) Session(node, sess int) kite.Session {
 	return shard.New(subs, c.m)
 }
 
-// PauseNode makes replica node unresponsive for d in every group — the
-// sleeping-machine failure of the paper's §8.4 applied to a sharded
-// deployment, where one machine hosts a replica of each group.
-func (c *Cluster) PauseNode(node int, d time.Duration) {
-	for _, kc := range c.groups {
-		kc.PauseNode(node, d)
-	}
-}
-
-// StopNode crash-stops replica node in every group — the whole machine
-// goes down, taking its replica of each group's state with it.
-func (c *Cluster) StopNode(node int) {
-	for _, kc := range c.groups {
-		kc.StopNode(node)
-	}
-}
-
-// CrashNode SIGKILLs replica node in every group: like StopNode, but each
-// group's WAL (when enabled) is abandoned without a final fsync — the
-// machine-level kill -9. See kite.Cluster.CrashNode.
-func (c *Cluster) CrashNode(node int) {
-	for _, kc := range c.groups {
-		kc.CrashNode(node)
-	}
-}
-
-// RestartNode restarts replica node in every group. Each group's fresh
-// replica catches up independently against that group's surviving peers —
-// there is no cross-group state to transfer, since the groups share
-// nothing but the key routing. Until a group's sweep completes, its
-// restarted replica buffers operations and (by acking only writes it has
-// actually applied) can never satisfy the cross-shard flush fence early:
-// an OpFlush completes only when every replica, this one included, has
-// truly applied the session's writes.
-func (c *Cluster) RestartNode(node int) error {
-	for g, kc := range c.groups {
-		if err := kc.RestartNode(node); err != nil {
-			return fmt.Errorf("sharded: group %d: %w", g, err)
-		}
-	}
-	return nil
-}
-
-// AwaitRejoin blocks until replica node's catch-up sweep completes in
-// every group, reporting whether all did within timeout.
-func (c *Cluster) AwaitRejoin(node int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for _, kc := range c.groups {
-		if !kc.AwaitRejoin(node, time.Until(deadline)) {
-			return false
-		}
-	}
-	return true
-}
-
-// NodeStats sums replica node's slow-path activity counters across groups —
-// the machine-level view of how often its replicas left the fast paths
-// (one machine hosts a replica of every group).
-func (c *Cluster) NodeStats(node int) core.Stats {
-	var t core.Stats
-	for _, kc := range c.groups {
-		s := kc.NodeStats(node)
-		t.SlowReads += s.SlowReads
-		t.SlowWrites += s.SlowWrites
-		t.EpochBumps += s.EpochBumps
-		t.SlowReleases += s.SlowReleases
-		t.LocalAcqHits += s.LocalAcqHits
-		t.AcqFallbacks += s.AcqFallbacks
-	}
-	return t
-}
-
 // CompletedOps sums operations completed at replica node across groups.
 func (c *Cluster) CompletedOps(node int) uint64 {
 	var t uint64
@@ -228,13 +111,4 @@ func (c *Cluster) CompletedOps(node int) uint64 {
 		t += kc.CompletedOps(node)
 	}
 	return t
-}
-
-// Close stops every group.
-func (c *Cluster) Close() {
-	for _, kc := range c.groups {
-		if kc != nil {
-			kc.Close()
-		}
-	}
 }
