@@ -25,6 +25,7 @@ package abd
 import (
 	"kite/internal/kvs"
 	"kite/internal/llc"
+	"kite/internal/membership"
 	"kite/internal/proto"
 )
 
@@ -78,19 +79,18 @@ const (
 	WriteDone
 )
 
-// WriteOp drives one ABD write (a Kite release, an acquire write-back does
-// not use this — it reuses the read op). The caller broadcasts the round
-// messages; the op only folds replies and says what to do next.
+// WriteOp drives one ABD write (a Kite release, or the LLC round of a
+// slow-path relaxed write; an acquire write-back reuses the read op). The
+// caller broadcasts the round messages; the op only folds replies and says
+// what to do next.
 type WriteOp struct {
-	Key    uint64
-	OpID   uint64
-	Val    []byte
-	Phase  WritePhase
-	MaxTS  llc.Stamp // max stamp seen in round 1
-	Stamp  llc.Stamp // stamp assigned to the write (set entering round 2)
-	quorum int
-	seen   uint16 // round-1 repliers
-	acks   uint16 // round-2 ackers
+	Key   uint64
+	OpID  uint64
+	Val   []byte
+	Phase WritePhase
+	MaxTS llc.Stamp // max stamp seen in round 1
+	Stamp llc.Stamp // stamp assigned to the write (set entering round 2)
+	round membership.Tally
 	// FireAndForget makes the op complete as soon as round 2 is broadcast,
 	// without waiting for acks — the §4.3 slow-path relaxed write.
 	FireAndForget bool
@@ -98,8 +98,12 @@ type WriteOp struct {
 
 // NewWriteOp creates a write op for an n-replica deployment.
 func NewWriteOp(key, opID uint64, val []byte, n int, fireAndForget bool) *WriteOp {
-	return &WriteOp{Key: key, OpID: opID, Val: val, quorum: n/2 + 1, FireAndForget: fireAndForget}
+	return &WriteOp{Key: key, OpID: opID, Val: val, round: membership.NewTally(n), FireAndForget: fireAndForget}
 }
+
+// Tally returns the current round's reply tally: its Missing set is the
+// retransmission target, and a reconfiguration refits it before Decide.
+func (w *WriteOp) Tally() *membership.Tally { return &w.round }
 
 // ReadTSMsg builds the round-1 broadcast message.
 func (w *WriteOp) ReadTSMsg(self, worker uint8, kind proto.Kind) proto.Message {
@@ -109,20 +113,11 @@ func (w *WriteOp) ReadTSMsg(self, worker uint8, kind proto.Kind) proto.Message {
 // OnReadTS folds a round-1 reply. It returns true when the quorum is
 // reached and the op advances to the value round.
 func (w *WriteOp) OnReadTS(m *proto.Message) (startValueRound bool) {
-	if w.Phase != WriteReadTS {
+	if w.Phase != WriteReadTS || !w.round.Add(m.From) {
 		return false
 	}
-	bit := uint16(1) << m.From
-	if w.seen&bit != 0 {
-		return false
-	}
-	w.seen |= bit
 	w.MaxTS = llc.Max(w.MaxTS, m.Stamp)
-	if popcount16(w.seen) >= w.quorum {
-		w.Phase = WriteValue
-		return true
-	}
-	return false
+	return w.Decide()
 }
 
 // ValueMsg builds the round-2 broadcast carrying the value stamped with st
@@ -138,55 +133,25 @@ func (w *WriteOp) ValueMsg(st llc.Stamp, self, worker uint8) proto.Message {
 
 // OnWriteAck folds a round-2 ack; true means the write completed.
 func (w *WriteOp) OnWriteAck(m *proto.Message) (done bool) {
-	if w.Phase != WriteValue {
+	if w.Phase != WriteValue || !w.round.Add(m.From) {
 		return false
 	}
-	w.acks |= 1 << m.From
-	if popcount16(w.acks) >= w.quorum {
-		w.Phase = WriteDone
-		return true
-	}
-	return false
+	return w.Decide()
 }
 
-// Unseen returns the bitmask of nodes that have not replied to the current
-// round (for retransmission). full is the all-nodes mask.
-func (w *WriteOp) Unseen(full uint16) uint16 {
-	switch w.Phase {
-	case WriteReadTS:
-		return full &^ w.seen
-	case WriteValue:
-		return full &^ w.acks
+// Decide advances the op past its current round once a quorum has answered
+// it — from the LLC round (MaxTS then holds its result) to the value round,
+// or from the value round to WriteDone — and reports whether it advanced.
+// The reply handlers run it after every fresh reply; a reconfiguration runs
+// it after refitting the tally, so a round blocked solely on a removed
+// member resolves exactly as if the missing reply had arrived.
+func (w *WriteOp) Decide() bool {
+	if w.Phase == WriteDone || !w.round.Reached() {
+		return false
 	}
-	return 0
-}
-
-// Refit retargets the op at a reconfigured member set (quorum size and
-// member bitmask), discarding replies recorded from removed members, and
-// reports whether the CURRENT round's surviving replies now form a quorum
-// — without this, a round blocked solely on a removed member's reply would
-// retransmit forever at a node whose frames the epoch check rejects.
-// true means: WriteReadTS phase → start the value round (the op has
-// advanced to WriteValue; MaxTS holds the round-1 result); WriteValue
-// phase → the write completed (WriteDone). Safe because majorities of
-// adjacent configurations intersect (DESIGN.md "Membership").
-func (w *WriteOp) Refit(quorum int, full uint16) bool {
-	w.quorum = quorum
-	w.seen &= full
-	w.acks &= full
-	switch w.Phase {
-	case WriteReadTS:
-		if popcount16(w.seen) >= w.quorum {
-			w.Phase = WriteValue
-			return true
-		}
-	case WriteValue:
-		if popcount16(w.acks) >= w.quorum {
-			w.Phase = WriteDone
-			return true
-		}
-	}
-	return false
+	w.Phase++
+	w.round.Reset()
+	return true
 }
 
 // ReadPhase enumerates the read state machine's phases.
@@ -222,16 +187,17 @@ type ReadOp struct {
 	DelinqMask uint16
 
 	NeedWriteBack bool
-	quorum        int
-	seen          uint16
-	atMax         uint16 // repliers whose stamp equals MaxTS
-	acks          uint16
+	round         membership.Tally
+	atMax         uint16 // round-1 repliers whose stamp equals MaxTS
 }
 
 // NewReadOp creates a read op for an n-replica deployment.
 func NewReadOp(key, opID uint64, n int, needWriteBack bool) *ReadOp {
-	return &ReadOp{Key: key, OpID: opID, quorum: n/2 + 1, NeedWriteBack: needWriteBack}
+	return &ReadOp{Key: key, OpID: opID, round: membership.NewTally(n), NeedWriteBack: needWriteBack}
 }
+
+// Tally returns the current round's reply tally (see WriteOp.Tally).
+func (r *ReadOp) Tally() *membership.Tally { return &r.round }
 
 // ReadMsg builds the round-1 broadcast. Acquires use proto.KindAcqRead so
 // replicas run the delinquency check; slow-path reads use proto.KindSlowRead.
@@ -242,7 +208,7 @@ func (r *ReadOp) ReadMsg(self, worker uint8, kind proto.Kind) proto.Message {
 // ReadAction tells the caller what to do after folding a reply.
 type ReadAction uint8
 
-// Actions returned by OnReadReply / OnWriteAck.
+// Actions returned by OnReadReply / OnWriteAck / Decide.
 const (
 	ReadWait         ReadAction = iota // keep collecting
 	ReadComplete                       // op done; MaxVal/MaxTS hold the result
@@ -251,14 +217,10 @@ const (
 
 // OnReadReply folds a round-1 reply.
 func (r *ReadOp) OnReadReply(m *proto.Message) ReadAction {
-	if r.Phase != ReadRound {
+	if r.Phase != ReadRound || !r.round.Add(m.From) {
 		return ReadWait
 	}
 	bit := uint16(1) << m.From
-	if r.seen&bit != 0 {
-		return ReadWait
-	}
-	r.seen |= bit
 	if m.Flags&proto.FlagDelinquent != 0 {
 		r.Delinquent = true
 		r.DelinqMask |= bit
@@ -271,18 +233,7 @@ func (r *ReadOp) OnReadReply(m *proto.Message) ReadAction {
 	case r.MaxTS.Equal(m.Stamp):
 		r.atMax |= bit
 	}
-	if popcount16(r.seen) < r.quorum {
-		return ReadWait
-	}
-	// Quorum reached. If the max-stamp value is already at a quorum of the
-	// repliers, it is visible to any later quorum; otherwise linearizable
-	// reads must write it back first.
-	if !r.NeedWriteBack || popcount16(r.atMax) >= r.quorum || r.MaxTS.IsZero() {
-		r.Phase = ReadDone
-		return ReadComplete
-	}
-	r.Phase = ReadWriteBack
-	return ReadWriteBackNow
+	return r.Decide()
 }
 
 // WriteBackMsg builds the second-round broadcast: the max value re-written
@@ -296,61 +247,26 @@ func (r *ReadOp) WriteBackMsg(self, worker uint8) proto.Message {
 
 // OnWriteAck folds a write-back ack.
 func (r *ReadOp) OnWriteAck(m *proto.Message) ReadAction {
-	if r.Phase != ReadWriteBack {
+	if r.Phase != ReadWriteBack || !r.round.Add(m.From) {
 		return ReadWait
 	}
-	r.acks |= 1 << m.From
-	if popcount16(r.acks) >= r.quorum {
-		r.Phase = ReadDone
-		return ReadComplete
-	}
-	return ReadWait
+	return r.Decide()
 }
 
-// Unseen returns nodes that have not replied to the current round.
-func (r *ReadOp) Unseen(full uint16) uint16 {
-	switch r.Phase {
-	case ReadRound:
-		return full &^ r.seen
-	case ReadWriteBack:
-		return full &^ r.acks
+// Decide resolves the round in flight once a quorum has answered it (see
+// WriteOp.Decide for who runs it). A quorate read round completes if the
+// max-stamp value is already at a quorum of the repliers — it is then
+// visible to any later quorum — and otherwise, for a linearizable read,
+// writes it back first.
+func (r *ReadOp) Decide() ReadAction {
+	if r.Phase == ReadDone || !r.round.Reached() {
+		return ReadWait
 	}
-	return 0
-}
-
-// Refit retargets the op at a reconfigured member set and re-resolves the
-// round in flight, exactly like WriteOp.Refit: removed members' replies
-// are discarded and a round whose surviving replies now quorate resolves.
-// The returned action is what OnReadReply/OnWriteAck would have produced.
-func (r *ReadOp) Refit(quorum int, full uint16) ReadAction {
-	r.quorum = quorum
-	r.seen &= full
-	r.atMax &= full
-	r.acks &= full
-	switch r.Phase {
-	case ReadRound:
-		if popcount16(r.seen) < r.quorum {
-			return ReadWait
-		}
-		if !r.NeedWriteBack || popcount16(r.atMax) >= r.quorum || r.MaxTS.IsZero() {
-			r.Phase = ReadDone
-			return ReadComplete
-		}
+	if r.Phase == ReadRound && r.NeedWriteBack && !r.round.Covers(r.atMax) && !r.MaxTS.IsZero() {
 		r.Phase = ReadWriteBack
+		r.round.Reset()
 		return ReadWriteBackNow
-	case ReadWriteBack:
-		if popcount16(r.acks) >= r.quorum {
-			r.Phase = ReadDone
-			return ReadComplete
-		}
 	}
-	return ReadWait
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	r.Phase = ReadDone
+	return ReadComplete
 }

@@ -5,6 +5,7 @@ import (
 
 	"kite/internal/kvs"
 	"kite/internal/llc"
+	"kite/internal/membership"
 	"kite/internal/proto"
 )
 
@@ -66,8 +67,9 @@ func TestWriteOpTwoRounds(t *testing.T) {
 		t.Fatal("duplicate replier advanced the round")
 	}
 	w.OnReadTS(tsReply(1, llc.Stamp{Ver: 4, MID: 2}))
-	if w.Unseen(0b11111) != 0b11100 {
-		t.Fatalf("Unseen = %05b", w.Unseen(0b11111))
+	five := membership.Initial(5)
+	if got := w.Tally().Missing(five); got != 0b11100 {
+		t.Fatalf("Missing = %05b", got)
 	}
 	if !w.OnReadTS(tsReply(2, llc.Stamp{Ver: 2, MID: 1})) {
 		t.Fatal("quorum not detected")
@@ -75,9 +77,9 @@ func TestWriteOpTwoRounds(t *testing.T) {
 	if w.MaxTS != (llc.Stamp{Ver: 4, MID: 2}) {
 		t.Fatalf("MaxTS = %v", w.MaxTS)
 	}
-	// After the phase flip, Unseen refers to the value round.
-	if w.Unseen(0b11111) != 0b11111 {
-		t.Fatalf("round-2 Unseen = %05b", w.Unseen(0b11111))
+	// After the phase flip, the tally counts the value round.
+	if got := w.Tally().Missing(five); got != 0b11111 {
+		t.Fatalf("round-2 Missing = %05b", got)
 	}
 	// Round 2.
 	vm := w.ValueMsg(llc.Stamp{Ver: 5, MID: 3}, 3, 0)
@@ -212,8 +214,51 @@ func TestReadOpDuplicateRepliesIgnored(t *testing.T) {
 	if r.Phase != ReadRound {
 		t.Fatal("duplicates formed a quorum")
 	}
-	if r.Unseen(0b11111) != 0b11110 {
-		t.Fatalf("Unseen = %05b", r.Unseen(0b11111))
+	if got := r.Tally().Missing(membership.Initial(5)); got != 0b11110 {
+		t.Fatalf("Missing = %05b", got)
+	}
+}
+
+// TestReadOpRefitDropsRemovedVote: after a refit, a removed member's reply
+// counts neither toward the round's quorum nor toward the max-stamp
+// quorum that lets an acquire skip its write-back.
+func TestReadOpRefitDropsRemovedVote(t *testing.T) {
+	four := membership.Initial(4) // quorum 3
+	r := NewReadOp(1, 25, four.N(), true)
+	low, high := llc.Stamp{Ver: 1, MID: 0}, llc.Stamp{Ver: 5, MID: 2}
+	r.OnReadReply(readReply(0, high, "new", false))
+	r.OnReadReply(readReply(3, high, "new", false))
+	shrunk := four.Remove(3) // {0,1,2}: quorum 2, node 3's vote is gone
+	r.Tally().Refit(shrunk)
+	if got := r.Decide(); got != ReadWait {
+		t.Fatalf("refit action = %v, want wait (one surviving reply)", got)
+	}
+	// The second surviving reply quorates the round, but the max stamp is
+	// only at node 0 among the counted: the value must be written back.
+	if got := r.OnReadReply(readReply(1, low, "old", false)); got != ReadWriteBackNow {
+		t.Fatalf("action = %v, want write-back", got)
+	}
+	// The write-back round refits too: shrunk to {0}, node 0's ack is a
+	// quorum.
+	r.OnWriteAck(&proto.Message{Kind: proto.KindABDWriteAck, From: 0})
+	r.Tally().Refit(shrunk.Remove(2).Remove(1))
+	if got := r.Decide(); got != ReadComplete || string(r.MaxVal) != "new" {
+		t.Fatalf("write-back refit: %v %q", got, r.MaxVal)
+	}
+}
+
+// TestWriteOpRefitResolvesBlockedRound: a write round blocked only on a
+// removed member advances once the tally is refit.
+func TestWriteOpRefitResolvesBlockedRound(t *testing.T) {
+	three := membership.Initial(3)
+	w := NewWriteOp(1, 31, []byte("v"), three.N(), false)
+	w.OnReadTS(tsReply(0, llc.Stamp{Ver: 3, MID: 1}))
+	w.Tally().Refit(three.Remove(2).Remove(1))
+	if !w.Decide() || w.Phase != WriteValue || w.MaxTS != (llc.Stamp{Ver: 3, MID: 1}) {
+		t.Fatalf("LLC round not resolved by refit: phase %v", w.Phase)
+	}
+	if w.Decide() {
+		t.Fatal("empty value round advanced")
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"kite/internal/abd"
 	"kite/internal/barrier"
 	"kite/internal/proto"
@@ -42,73 +40,75 @@ func (w *Worker) issueAcquire(s *Session, r *Request) {
 		}
 	}
 	nd.acqFallbacks.Add(1)
-	op := &acquireOp{
-		id: w.nextOpID(s), sess: s, req: r,
-		epochSnap: nd.Epoch.Load(),
-		rd:        abd.NewReadOp(r.Key, 0, nd.n(), true),
-		retryAt:   w.now.Add(nd.cfg.RetryInterval),
-	}
-	op.rd.OpID = op.id
-	s.head = op
-	w.register(op.id, op)
-	w.broadcastAll(op.rd.ReadMsg(nd.ID, w.id, proto.KindAcqRead))
+	w.issueQuorumRead(s, r, proto.KindAcqRead)
 }
 
-type acquireOp struct {
+// issueQuorumRead starts the ABD read behind an acquire (kind
+// proto.KindAcqRead: replies carry the delinquency check, and a value not
+// yet at a quorum is written back) or behind an out-of-epoch relaxed read
+// (proto.KindSlowRead: the stripped §4.3 round, no write-back).
+func (w *Worker) issueQuorumRead(s *Session, r *Request, kind proto.Kind) {
+	nd := w.node
+	op := &s.ops.rd
+	*op = readOp{id: w.nextOpID(s), sess: s, req: r, epochSnap: nd.Epoch.Load()}
+	op.rd = *abd.NewReadOp(r.Key, op.id, nd.n(), kind == proto.KindAcqRead)
+	op.rnd.tally = op.rd.Tally()
+	s.head = op
+	w.register(op.id, op)
+	w.open(&op.rnd, op.rd.ReadMsg(nd.ID, w.id, kind))
+}
+
+// readOp is a blocking ABD read: an acquire that missed the local fast
+// path, or a slow-path relaxed read.
+type readOp struct {
 	id        uint64
 	sess      *Session
 	req       *Request
-	rd        *abd.ReadOp
+	rd        abd.ReadOp
+	rnd       round // the read round, then the write-back round
 	epochSnap uint64
-	retryAt   time.Time
+	untimed
 }
 
-func (op *acquireOp) request() *Request       { return op.req }
-func (op *acquireOp) nextDeadline() time.Time { return op.retryAt }
-func (op *acquireOp) onTrackerUpdate(*Worker) {}
+func (op *readOp) request() *Request       { return op.req }
+func (op *readOp) rounds() [2]*round       { return [2]*round{&op.rnd} }
+func (op *readOp) onTrackerUpdate(*Worker) {}
 
-func (op *acquireOp) onMessage(w *Worker, m proto.Message) {
-	var act abd.ReadAction
+func (op *readOp) onMessage(w *Worker, m proto.Message) {
 	switch m.Kind {
 	case proto.KindReadReply:
-		act = op.rd.OnReadReply(&m)
+		op.react(w, op.rd.OnReadReply(&m))
 	case proto.KindABDWriteAck:
-		act = op.rd.OnWriteAck(&m)
-	default:
-		return
+		op.react(w, op.rd.OnWriteAck(&m))
 	}
+}
+
+func (op *readOp) resolve(w *Worker) { op.react(w, op.rd.Decide()) }
+
+func (op *readOp) react(w *Worker, act abd.ReadAction) {
 	switch act {
 	case abd.ReadWriteBackNow:
 		// The freshest value is not yet at a quorum: write it back before
 		// returning it (linearizability of acquires; §3.3).
-		w.broadcastAll(op.rd.WriteBackMsg(w.node.ID, w.id))
+		w.open(&op.rnd, op.rd.WriteBackMsg(w.node.ID, w.id))
 	case abd.ReadComplete:
 		op.finish(w)
 	}
 }
 
-// onConfigChange re-resolves the read (or write-back) round against a
-// freshly installed member set (Worker.applyConfig).
-func (op *acquireOp) onConfigChange(w *Worker) {
-	switch op.rd.Refit(w.node.quorum(), w.node.full()) {
-	case abd.ReadWriteBackNow:
-		w.broadcastAll(op.rd.WriteBackMsg(w.node.ID, w.id))
-	case abd.ReadComplete:
-		op.finish(w)
-	}
-}
-
-func (op *acquireOp) finish(w *Worker) {
+// finish installs the quorum-fresh value locally and completes the read.
+// The key's epoch advances only to the machine epoch snapshotted at op
+// start: if another session's acquire bumped the epoch mid-flight, this key
+// still looks stale to it and will be re-fetched — the race §5.4's snapshot
+// rule exists for.
+func (op *readOp) finish(w *Worker) {
 	nd := w.node
-	// Install the acquired value locally. The key's epoch advances only to
-	// the machine epoch snapshotted at op start: if another session's
-	// acquire bumped the epoch mid-flight, this key still looks stale to it
-	// and will be re-fetched — the race §5.4's snapshot rule exists for.
 	nd.Store.ApplyAndAdvance(op.req.Key, op.rd.MaxVal, op.rd.MaxTS, op.epochSnap)
 	if op.rd.Delinquent {
 		// Transition to the slow path: bump the machine epoch first, then
 		// tell the replicas that flagged us to reset our delinquency bit
-		// (Lemma 5.6 order; targeted send — see Worker.sendResetBit).
+		// (Lemma 5.6 order; targeted send — see Worker.sendResetBit). Only
+		// acquire replies carry the flag.
 		nd.Epoch.Bump()
 		nd.epochBumps.Add(1)
 		w.sendResetBit(op.id, op.rd.DelinqMask)
@@ -117,18 +117,4 @@ func (op *acquireOp) finish(w *Worker) {
 	w.unregister(op.id)
 	op.sess.complete(op.req, nil)
 	op.sess.unblock()
-}
-
-func (op *acquireOp) onDeadline(w *Worker, now time.Time) {
-	var m proto.Message
-	switch op.rd.Phase {
-	case abd.ReadRound:
-		m = op.rd.ReadMsg(w.node.ID, w.id, proto.KindAcqRead)
-	case abd.ReadWriteBack:
-		m = op.rd.WriteBackMsg(w.node.ID, w.id)
-	default:
-		return
-	}
-	w.retransmit(m, op.rd.Unseen(w.node.full()))
-	op.retryAt = now.Add(w.node.cfg.RetryInterval)
 }

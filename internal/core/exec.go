@@ -48,62 +48,7 @@ func (w *Worker) issueRead(s *Session, r *Request) {
 		}
 	}
 	nd.slowReads.Add(1)
-	op := &slowReadOp{
-		id: w.nextOpID(s), sess: s, req: r, epochSnap: epoch,
-		rd:      abd.NewReadOp(r.Key, 0, nd.n(), false),
-		retryAt: w.now.Add(nd.cfg.RetryInterval),
-	}
-	op.rd.OpID = op.id
-	s.head = op
-	w.register(op.id, op)
-	w.broadcastAll(op.rd.ReadMsg(nd.ID, w.id, proto.KindSlowRead))
-}
-
-type slowReadOp struct {
-	id        uint64
-	sess      *Session
-	req       *Request
-	rd        *abd.ReadOp
-	epochSnap uint64
-	retryAt   time.Time
-}
-
-func (op *slowReadOp) request() *Request       { return op.req }
-func (op *slowReadOp) nextDeadline() time.Time { return op.retryAt }
-func (op *slowReadOp) onTrackerUpdate(*Worker) {}
-
-func (op *slowReadOp) onMessage(w *Worker, m proto.Message) {
-	if m.Kind != proto.KindReadReply {
-		return
-	}
-	if op.rd.OnReadReply(&m) != abd.ReadComplete {
-		return
-	}
-	op.finish(w)
-}
-
-// onConfigChange re-resolves the read round against a freshly installed
-// member set (Worker.applyConfig).
-func (op *slowReadOp) onConfigChange(w *Worker) {
-	if op.rd.Refit(w.node.quorum(), w.node.full()) == abd.ReadComplete {
-		op.finish(w)
-	}
-}
-
-func (op *slowReadOp) finish(w *Worker) {
-	// Adopt the quorum-fresh value and advance the key's epoch to the
-	// machine epoch snapshotted when the access began — never beyond, so a
-	// concurrent acquire's epoch bump still forces a re-fetch (§5.4).
-	w.node.Store.ApplyAndAdvance(op.req.Key, op.rd.MaxVal, op.rd.MaxTS, op.epochSnap)
-	op.req.setOut(op.rd.MaxVal)
-	w.unregister(op.id)
-	op.sess.complete(op.req, nil)
-	op.sess.unblock()
-}
-
-func (op *slowReadOp) onDeadline(w *Worker, now time.Time) {
-	w.retransmit(op.rd.ReadMsg(w.node.ID, w.id, proto.KindSlowRead), op.rd.Unseen(w.node.full()))
-	op.retryAt = now.Add(w.node.cfg.RetryInterval)
+	w.issueQuorumRead(s, r, proto.KindSlowRead)
 }
 
 // --- Relaxed write -----------------------------------------------------------
@@ -126,17 +71,14 @@ func (w *Worker) issueWrite(s *Session, r *Request) {
 		}
 	}
 	nd.slowWrites.Add(1)
-	op := &slowWriteOp{
-		id: w.nextOpID(s), sess: s, req: r, epochSnap: epoch,
-		quorum:  nd.quorum(),
-		retryAt: w.now.Add(nd.cfg.RetryInterval),
-	}
-	op.vlen = copy(op.valBuf[:], r.Val)
+	op := &s.ops.wr
+	*op = slowWriteOp{id: w.nextOpID(s), sess: s, req: r, epochSnap: epoch}
+	n := copy(op.valBuf[:], r.Val)
+	op.wr = *abd.NewWriteOp(r.Key, op.id, op.valBuf[:n], nd.n(), true)
+	op.rnd.tally = op.wr.Tally()
 	s.head = op
 	w.register(op.id, op)
-	w.broadcastAll(proto.Message{
-		Kind: proto.KindSlowWriteTS, From: nd.ID, Worker: w.id, Key: r.Key, OpID: op.id,
-	})
+	w.open(&op.rnd, op.wr.ReadTSMsg(nd.ID, w.id, proto.KindSlowWriteTS))
 }
 
 // trackWrite registers an applied local write for all-ack gathering and
@@ -196,7 +138,6 @@ type esWriteOp struct {
 	retryAt time.Time
 }
 
-func (op *esWriteOp) request() *Request       { return nil }
 func (op *esWriteOp) nextDeadline() time.Time { return op.retryAt }
 
 func (op *esWriteOp) onMessage(w *Worker, m proto.Message) {
@@ -229,50 +170,33 @@ func (op *esWriteOp) onDeadline(w *Worker, now time.Time) {
 	op.retryAt = now.Add(w.node.cfg.RetryInterval)
 }
 
-// slowWriteOp is the out-of-epoch relaxed write: one LLC quorum round, then
-// it morphs into a tracked ES write and completes.
+// slowWriteOp is the out-of-epoch relaxed write: the LLC round of an ABD
+// write (round 1 of abd.WriteOp, under its own message kind), after which
+// it morphs into a tracked ES write and completes — the fire-and-forget
+// value round of §4.3.
 type slowWriteOp struct {
 	id        uint64
 	sess      *Session
 	req       *Request
+	wr        abd.WriteOp
+	rnd       round
 	epochSnap uint64
-	quorum    int
-	seen      uint16
-	maxTS     llc.Stamp
 	valBuf    [kvs.MaxValueLen]byte
-	vlen      int
-	retryAt   time.Time
+	untimed
 }
 
 func (op *slowWriteOp) request() *Request       { return op.req }
-func (op *slowWriteOp) nextDeadline() time.Time { return op.retryAt }
+func (op *slowWriteOp) rounds() [2]*round       { return [2]*round{&op.rnd} }
 func (op *slowWriteOp) onTrackerUpdate(*Worker) {}
 
 func (op *slowWriteOp) onMessage(w *Worker, m proto.Message) {
-	if m.Kind != proto.KindSlowWriteTSR {
-		return
+	if m.Kind == proto.KindSlowWriteTSR && op.wr.OnReadTS(&m) {
+		op.complete(w)
 	}
-	bit := uint16(1) << m.From
-	if op.seen&bit != 0 {
-		return
-	}
-	op.seen |= bit
-	if op.maxTS.Less(m.Stamp) {
-		op.maxTS = m.Stamp
-	}
-	if popcount16(op.seen) < op.quorum {
-		return
-	}
-	op.complete(w)
 }
 
-// onConfigChange re-resolves the LLC quorum round against a freshly
-// installed member set (Worker.applyConfig).
-func (op *slowWriteOp) onConfigChange(w *Worker) {
-	v := w.node.View()
-	op.quorum = v.Quorum()
-	op.seen &= v.Mask()
-	if popcount16(op.seen) >= op.quorum {
+func (op *slowWriteOp) resolve(w *Worker) {
+	if op.wr.Decide() {
 		op.complete(w)
 	}
 }
@@ -283,27 +207,18 @@ func (op *slowWriteOp) onConfigChange(w *Worker) {
 // without acks (§4.3).
 func (op *slowWriteOp) complete(w *Worker) {
 	nd := w.node
-	val := op.valBuf[:op.vlen]
-	st := nd.Store.WriteAtLeast(op.req.Key, val, op.maxTS, nd.ID, op.epochSnap)
+	st := nd.Store.WriteAtLeast(op.req.Key, op.wr.Val, op.wr.MaxTS, nd.ID, op.epochSnap)
 
 	if nd.n() == 1 {
 		// Sole replica: fully replicated on apply, nothing to track (see
 		// trackWrite).
 		w.unregister(op.id)
 	} else {
-		w.broadcastWrite(op.sess, op.id, op.req.Key, val, st) // replaces this op under the same id
+		w.broadcastWrite(op.sess, op.id, op.req.Key, op.wr.Val, st) // replaces this op under the same id
 	}
 
 	op.sess.complete(op.req, nil)
 	op.sess.unblock()
-}
-
-func (op *slowWriteOp) onDeadline(w *Worker, now time.Time) {
-	w.retransmit(proto.Message{
-		Kind: proto.KindSlowWriteTS, From: w.node.ID, Worker: w.id,
-		Key: op.req.Key, OpID: op.id,
-	}, w.node.full()&^op.seen)
-	op.retryAt = now.Add(w.node.cfg.RetryInterval)
 }
 
 // retransmit stages m for every remote node in mask (the local bit, if set,
@@ -318,12 +233,4 @@ func (w *Worker) retransmit(m proto.Message, mask uint16) {
 			w.stage(dst, m)
 		}
 	}
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"kite/internal/proto"
 )
 
@@ -28,7 +26,8 @@ func (w *Worker) issueFlush(s *Session, r *Request) {
 		s.complete(r, nil)
 		return
 	}
-	op := &flushOp{sess: s, req: r}
+	op := &s.ops.flush
+	*op = flushOp{sess: s, req: r}
 	s.head = op
 }
 
@@ -36,13 +35,14 @@ func (w *Worker) issueFlush(s *Session, r *Request) {
 // protocol rounds of its own — the tracked ES writes retransmit themselves —
 // so it only listens for the ledger going clean.
 type flushOp struct {
+	untimed
 	sess *Session
 	req  *Request
 }
 
 func (op *flushOp) request() *Request                { return op.req }
-func (op *flushOp) nextDeadline() time.Time          { return time.Time{} }
-func (op *flushOp) onDeadline(*Worker, time.Time)    {}
+func (op *flushOp) rounds() [2]*round                { return [2]*round{} }
+func (op *flushOp) resolve(*Worker)                  {}
 func (op *flushOp) onMessage(*Worker, proto.Message) {}
 
 func (op *flushOp) onTrackerUpdate(w *Worker) {

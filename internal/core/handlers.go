@@ -95,9 +95,6 @@ func (w *Worker) handleRequest(m *proto.Message) (rep proto.Message, ok bool) {
 			nd.maybeInstallEncoded(m.Value)
 		}
 		return rep, false
-
-	case proto.KindPaxosQuery:
-		return paxos.HandleQuery(nd.Store, m, nd.ID, w.scratch[:]), true
 	}
 	return rep, false
 }

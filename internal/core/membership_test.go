@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"kite/internal/abd"
+	"kite/internal/llc"
 	"kite/internal/membership"
+	"kite/internal/paxos"
 	"kite/internal/proto"
 	"kite/internal/transport"
 )
@@ -186,56 +189,159 @@ func TestStaleEpochFramesRejectedAndConverge(t *testing.T) {
 	}
 }
 
-// TestShrinkCompletesInflightSyncOps pins the refit of in-flight ABD
-// rounds: a release and an acquire blocked solely on an unresponsive
-// member's reply must complete the moment a configuration excluding that
-// member installs (their quorum arithmetic re-resolves against the
-// surviving set), instead of retransmitting forever at a node whose frames
-// the epoch check would reject.
-func TestShrinkCompletesInflightSyncOps(t *testing.T) {
-	c, err := NewCluster(membershipConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Node(1).Pause(time.Hour)
+// refitNet is a hand-driven replica group for the refit tests: its nodes are
+// built but not started, so the test goroutine runs every worker, and a
+// message moves only when the test delivers it. A member the test stops
+// delivering for is paused — deterministically, at an exact round.
+type refitNet struct {
+	nodes []*Node
+	done  map[*Request]bool
+}
 
-	s := c.Node(0).Session(0)
-	relDone := make(chan *Request, 1)
-	rel := &Request{Code: OpRelease, Key: 5, Val: []byte("v"), Done: func(r *Request) { relDone <- r }}
-	s.Submit(rel)
-	select {
-	case <-relDone:
-		t.Fatal("release completed without a 2-member quorum")
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Simulate the shrunk configuration committing (the CAS itself cannot
-	// quorate with the sleeper down — operators shrink around a LIVE
-	// member; this is the unit-level view of the install).
-	if !c.Node(0).InstallConfig(membership.Config{Epoch: 1, Members: 0b01}) {
-		t.Fatal("install refused")
-	}
-	select {
-	case r := <-relDone:
-		if r.Err != nil {
-			t.Fatalf("release after shrink: %v", r.Err)
+func newRefitNet(t *testing.T, n int, disableFastPath bool) *refitNet {
+	tr := transport.NewInProc(n, 1, 0)
+	t.Cleanup(func() { tr.Close() })
+	net := &refitNet{done: map[*Request]bool{}}
+	for i := 0; i < n; i++ {
+		nd, err := NewNode(uint8(i), Config{
+			Nodes: n, Workers: 1, SessionsPerWorker: 1, KVSCapacity: 1 << 10,
+			DisableFastPath: disableFastPath,
+		}, tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("release still blocked after the member was removed")
+		t.Cleanup(nd.Stop)
+		nd.workers[0].now = time.Now()
+		net.nodes = append(net.nodes, nd)
 	}
+	return net
+}
 
-	// Acquires re-resolve too (same worker, fresh head op under epoch 1).
-	acqDone := make(chan *Request, 1)
-	acq := &Request{Code: OpAcquire, Key: 5, Done: func(r *Request) { acqDone <- r }}
-	s.Submit(acq)
-	select {
-	case r := <-acqDone:
-		if r.Err != nil || string(r.Out) != "v" {
-			t.Fatalf("acquire after shrink: %q, %v", r.Out, r.Err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("acquire blocked after the member was removed")
+// issue starts r on node 0's session.
+func (net *refitNet) issue(r *Request) *Request {
+	w := net.nodes[0].workers[0]
+	r.sess = w.sessions[0]
+	r.Done = func(r *Request) { net.done[r] = true }
+	w.issue(r.sess, r)
+	return r
+}
+
+// exchange delivers everything node 0 staged for peer, then peer's answers.
+func (net *refitNet) exchange(peer int) {
+	net.deliver(0, peer)
+	net.deliver(peer, 0)
+}
+
+func (net *refitNet) deliver(from, to int) {
+	src, dst := net.nodes[from].workers[0], net.nodes[to].workers[0]
+	msgs := append([]proto.Message(nil), src.out[to]...)
+	src.out[to] = src.out[to][:0]
+	for i := range msgs {
+		dst.dispatch(&msgs[i])
+	}
+}
+
+// TestRefitCompletesInflightRounds pins the one config-change path: every
+// kind of quorum round, blocked solely on members that stopped answering,
+// completes the moment a configuration excluding them installs (its tally
+// refits and its op resolves against the surviving set) instead of
+// retransmitting forever at nodes whose frames the epoch check would
+// reject. The install is the unit-level view of a committed shrink (the
+// CAS itself cannot quorate with the sleepers down).
+func TestRefitCompletesInflightRounds(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		nodes    int
+		slowPath bool // DisableFastPath: relaxed accesses take the quorum rounds
+		block    func(t *testing.T, net *refitNet) *Request
+		want     string
+	}{
+		{name: "release-llc", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
+			return net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("v")})
+		}},
+		{name: "release-value", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
+			r := net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("v")})
+			net.exchange(1) // the LLC round quorates; the value round waits on node 1
+			if ph := net.nodes[0].workers[0].sessions[0].ops.rel.wr.Phase; ph != abd.WriteValue {
+				t.Fatalf("release in phase %v, want the value round", ph)
+			}
+			return r
+		}},
+		{name: "acquire-read", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
+			return net.issue(&Request{Code: OpAcquire, Key: 5})
+		}},
+		{name: "acquire-write-back", nodes: 2, want: "v", block: func(t *testing.T, net *refitNet) *Request {
+			// Only node 1 holds the value, so the read round's max is not
+			// at a quorum and the acquire writes it back.
+			net.nodes[1].Store.Apply(5, []byte("v"), llc.Stamp{Ver: 3, MID: 1})
+			r := net.issue(&Request{Code: OpAcquire, Key: 5})
+			net.exchange(1)
+			if ph := net.nodes[0].workers[0].sessions[0].ops.rd.rd.Phase; ph != abd.ReadWriteBack {
+				t.Fatalf("acquire in phase %v, want the write-back round", ph)
+			}
+			return r
+		}},
+		{name: "slow-read", nodes: 2, slowPath: true, block: func(t *testing.T, net *refitNet) *Request {
+			return net.issue(&Request{Code: OpRead, Key: 5})
+		}},
+		{name: "slow-write", nodes: 2, slowPath: true, block: func(t *testing.T, net *refitNet) *Request {
+			return net.issue(&Request{Code: OpWrite, Key: 5, Val: []byte("v")})
+		}},
+		{name: "faa-propose", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
+			return net.issue(&Request{Code: OpFAA, Key: 9, Delta: 1})
+		}},
+		{name: "faa-accept", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
+			r := net.issue(&Request{Code: OpFAA, Key: 9, Delta: 1})
+			net.exchange(1)
+			if ph := net.nodes[0].workers[0].sessions[0].ops.rmw.prop.Phase; ph != paxos.PhaseAccept {
+				t.Fatalf("FAA in phase %v, want accept", ph)
+			}
+			return r
+		}},
+		{name: "faa-commit", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
+			r := net.issue(&Request{Code: OpFAA, Key: 9, Delta: 1})
+			net.exchange(1)
+			net.exchange(1)
+			if ph := net.nodes[0].workers[0].sessions[0].ops.rmw.prop.Phase; ph != paxos.PhaseCommit {
+				t.Fatalf("FAA in phase %v, want commit", ph)
+			}
+			return r
+		}},
+		{name: "slow-release-barrier", nodes: 3, block: func(t *testing.T, net *refitNet) *Request {
+			// A write acked by a quorum {0,1} but not by node 2 holds the
+			// barrier; its timeout publishes the DM-set, which nobody
+			// else acks.
+			net.issue(&Request{Code: OpWrite, Key: 7, Val: []byte("w")})
+			net.exchange(1)
+			r := net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("v")})
+			net.exchange(1)
+			w := net.nodes[0].workers[0]
+			w.now = w.now.Add(time.Hour)
+			w.scanDeadlines()
+			if bar := &w.sessions[0].ops.rel.bar; !bar.slowSent() || bar.done {
+				t.Fatal("barrier did not publish its DM-set")
+			}
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newRefitNet(t, tc.nodes, tc.slowPath)
+			r := tc.block(t, net)
+			if net.done[r] {
+				t.Fatal("completed while its round was blocked")
+			}
+			nd := net.nodes[0]
+			if !nd.InstallConfig(membership.Config{Epoch: 1, Members: 0b1}) {
+				t.Fatal("install refused")
+			}
+			nd.workers[0].applyConfig()
+			if !net.done[r] || r.Err != nil {
+				t.Fatalf("still blocked after the members were removed (done=%v err=%v)", net.done[r], r.Err)
+			}
+			if tc.want != "" && string(r.Out) != tc.want {
+				t.Fatalf("result %q, want %q", r.Out, tc.want)
+			}
+		})
 	}
 }
 

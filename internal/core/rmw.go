@@ -41,13 +41,10 @@ func (w *Worker) issueRMW(s *Session, r *Request) {
 			return
 		}
 	}
-	op := &rmwOp{
-		id: w.nextOpID(s), sess: s, req: r,
-		epochSnap: epoch,
-		prop:      paxos.NewProposer(r.Key, 0, nd.ID, nd.n()),
-		retryAt:   w.now.Add(nd.cfg.RetryInterval),
-	}
-	op.prop.OpID = op.id
+	op := &s.ops.rmw
+	*op = rmwOp{id: w.nextOpID(s), sess: s, req: r, epochSnap: epoch}
+	op.prop = *paxos.NewProposer(r.Key, op.id, nd.ID, nd.n())
+	op.rnd.tally = op.prop.Tally()
 	s.head = op
 	w.register(op.id, op)
 	op.bar.barrierInit(w, s)
@@ -58,7 +55,8 @@ type rmwOp struct {
 	id   uint64
 	sess *Session
 	req  *Request
-	prop *paxos.Proposer
+	prop paxos.Proposer
+	rnd  round // the Paxos phase in flight
 	bar  barrierState
 
 	epochSnap uint64
@@ -67,10 +65,6 @@ type rmwOp struct {
 	pendingAccept bool
 	// backoffAt, when set, schedules a re-propose after a ballot race.
 	backoffAt time.Time
-	retryAt   time.Time
-	// commitMsg is the commit broadcast (kept for retransmission with its
-	// origin payload intact).
-	commitMsg proto.Message
 
 	// Result computed against the committed base of the current attempt.
 	resBuf  [kvs.MaxValueLen]byte
@@ -81,10 +75,14 @@ type rmwOp struct {
 }
 
 func (op *rmwOp) request() *Request { return op.req }
+func (op *rmwOp) rounds() [2]*round { return [2]*round{&op.rnd, &op.bar.rnd} }
 
 func (op *rmwOp) nextDeadline() time.Time {
-	d := minTime(op.retryAt, op.bar.timeoutAt)
-	return minTime(d, op.backoffAt)
+	d := minTime(op.bar.deadline(), op.backoffAt)
+	if op.prop.PendingRestart() {
+		d = minTime(d, op.rnd.retryAt)
+	}
+	return d
 }
 
 // propose (re)starts the Paxos cycle against the current committed
@@ -107,7 +105,7 @@ func (op *rmwOp) propose(w *Worker) {
 	op.prop.Start(snap.Slot, ballot, own)
 	op.backoffAt = time.Time{}
 	traceRMW(op.id, "propose", snap.Slot<<16|uint64(DecodeUint64(snap.Val)&0xffff))
-	w.broadcastAll(op.prop.ProposeMsg(nd.ID, w.id))
+	w.open(&op.rnd, op.prop.ProposeMsg(nd.ID, w.id))
 }
 
 // retry re-proposes after a ballot race — at the SAME slot with the SAME
@@ -127,7 +125,7 @@ func (op *rmwOp) retry(w *Worker) {
 	op.prop.Start(op.prop.Slot, ballot, op.ownBuf[:op.ownLen])
 	op.backoffAt = time.Time{}
 	traceRMW(op.id, "retry", op.prop.Slot)
-	w.broadcastAll(op.prop.ProposeMsg(nd.ID, w.id))
+	w.open(&op.rnd, op.prop.ProposeMsg(nd.ID, w.id))
 }
 
 // computeOwn derives the RMW's new value from the committed base, recording
@@ -158,18 +156,13 @@ func (op *rmwOp) onTrackerUpdate(w *Worker) {
 	}
 }
 
-// onConfigChange re-resolves the Paxos round against a freshly installed
-// member set (Worker.applyConfig): quorum arithmetic switches to the new
-// configuration and removed members' replies stop counting — without this,
-// a round blocked on a removed replica's ack would retransmit forever at a
-// node whose frames the epoch check rejects. The reconfiguration CAS's own
-// commit round completes through exactly this path.
-func (op *rmwOp) onConfigChange(w *Worker) {
-	v := w.node.View()
-	if op.bar.barrierOnConfigChange(w, op.sess) {
+// resolve re-runs the barrier's and the proposer's decisions (after a
+// refit).
+func (op *rmwOp) resolve(w *Worker) {
+	if op.bar.barrierResolve(op.sess) {
 		op.maybeAccept(w)
 	}
-	op.react(w, op.prop.Refit(v.N(), v.Quorum(), v.Mask()))
+	op.react(w, op.prop.Decide())
 }
 
 func (op *rmwOp) onMessage(w *Worker, m proto.Message) {
@@ -185,7 +178,8 @@ func (op *rmwOp) onMessage(w *Worker, m proto.Message) {
 	case proto.KindCommitAck:
 		op.react(w, op.prop.OnCommitAck(&m))
 	case proto.KindSlowReleaseAck:
-		if op.bar.barrierOnSlowAck(w, op.sess, m.From) {
+		op.bar.acks.Add(m.From)
+		if op.bar.barrierResolve(op.sess) {
 			op.maybeAccept(w)
 		}
 	}
@@ -195,6 +189,7 @@ func (op *rmwOp) react(w *Worker, act paxos.Action) {
 	switch act {
 	case paxos.ActAccept:
 		op.pendingAccept = true
+		op.rnd.close() // until the barrier lets the accept out
 		op.maybeAccept(w)
 	case paxos.ActCommit:
 		// The commit carries the key's recent committed origins so replicas
@@ -202,10 +197,9 @@ func (op *rmwOp) react(w *Worker, act paxos.Action) {
 		cm := op.prop.CommitMsg(w.node.ID, w.id)
 		snap := paxos.ReadCommitted(w.node.Store, op.req.Key, w.scratch[:])
 		cm.Origins = snap.Recent
-		op.commitMsg = cm
-		// broadcastAll applies the commit locally via the loopback handler
-		// and folds the local replica's ack.
-		w.broadcastAll(cm)
+		// The loopback applies the commit locally and folds the local
+		// replica's ack.
+		w.open(&op.rnd, cm)
 	case paxos.ActDone:
 		traceRMW(op.id, "done", uint64(boolToU64(op.prop.Helping()))<<32|op.prop.Slot)
 		if op.prop.Helping() {
@@ -243,7 +237,7 @@ func (op *rmwOp) maybeAccept(w *Worker) {
 	op.pendingAccept = false
 	m := op.prop.AcceptMsg(w.node.ID, w.id)
 	traceRMW(op.id, "accept", uint64(boolToU64(op.prop.Helping()))<<48|m.Slot<<16|DecodeUint64(m.Value)&0xffff)
-	w.broadcastAll(m)
+	w.open(&op.rnd, m)
 }
 
 // applyCatchUp installs the committed state gleaned from nacks into the
@@ -299,39 +293,19 @@ func (op *rmwOp) finish(w *Worker) {
 	op.sess.unblock()
 }
 
+// onDeadline takes the RMW's timed decisions: the barrier timeout, the
+// re-propose after a ballot-race backoff, and the forced restart of a
+// quorum-backed restart that has waited one retransmission interval for a
+// possible own-committed witness — availability wins then.
 func (op *rmwOp) onDeadline(w *Worker, now time.Time) {
 	if op.bar.barrierOnTimeout(w, op.sess, op.id, now) {
 		op.maybeAccept(w)
 	}
-	if !op.backoffAt.IsZero() && now.After(op.backoffAt) {
+	switch {
+	case !op.backoffAt.IsZero() && now.After(op.backoffAt):
 		op.retry(w)
-		return
-	}
-	if now.After(op.retryAt) {
-		if op.prop.PendingRestart() {
-			// A quorum-backed restart waited one retransmission interval
-			// for a possible own-committed witness; availability wins now.
-			traceRMW(op.id, "forced-restart", op.prop.Slot)
-			op.react(w, paxos.ActRestart)
-			op.retryAt = now.Add(w.node.cfg.RetryInterval)
-			return
-		}
-		if op.bar.slowSent && !op.bar.done {
-			w.retransmit(proto.Message{
-				Kind: proto.KindSlowRelease, From: w.node.ID, Worker: w.id,
-				OpID: op.id, Bits: op.bar.dmSet,
-			}, w.node.full()&^op.bar.slowAcks)
-		}
-		switch op.prop.Phase {
-		case paxos.PhasePropose:
-			w.retransmit(op.prop.ProposeMsg(w.node.ID, w.id), op.prop.Unseen(w.node.full()))
-		case paxos.PhaseAccept:
-			if !op.pendingAccept {
-				w.retransmit(op.prop.AcceptMsg(w.node.ID, w.id), op.prop.Unseen(w.node.full()))
-			}
-		case paxos.PhaseCommit:
-			w.retransmit(op.commitMsg, op.prop.Unseen(w.node.full()))
-		}
-		op.retryAt = now.Add(w.node.cfg.RetryInterval)
+	case op.prop.PendingRestart() && !op.rnd.retryAt.IsZero() && now.After(op.rnd.retryAt):
+		traceRMW(op.id, "forced-restart", op.prop.Slot)
+		op.react(w, paxos.ActRestart)
 	}
 }

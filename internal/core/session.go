@@ -30,13 +30,34 @@ type Session struct {
 	throttled bool
 	inRunq    bool
 	opSeq     uint64
+
+	// ops stores the session's blocking ops, one of each kind, reused in
+	// place rather than allocated per operation. A session runs at most one
+	// at a time (head), and a completed op is referenced by nothing: it has
+	// left the worker's ops table, and any message it staged aliasing its
+	// buffers was flushed before a reply could complete it.
+	ops struct {
+		rel   releaseOp
+		rd    readOp
+		rmw   rmwOp
+		wr    slowWriteOp
+		flush flushOp
+	}
 }
 
-// blockingOp is the in-flight head operation of a session. Ops that wait on
-// the release barrier additionally react to tracker updates.
+// blockingOp is the in-flight head operation of a session: it completes
+// request(), ops that wait on the release barrier react to tracker updates,
+// and its quorum rounds — only a session head runs any — are retransmitted
+// and refit by the worker (round.go).
 type blockingOp interface {
 	pendingOp
+	request() *Request
 	onTrackerUpdate(w *Worker)
+	// rounds returns the records of the op's quorum rounds (nil-padded).
+	rounds() [2]*round
+	// resolve acts on where the op's rounds stand — the decision its reply
+	// path makes after folding a reply, re-run after a refit.
+	resolve(w *Worker)
 }
 
 func newSession(nd *Node, w *Worker, idx int) *Session {

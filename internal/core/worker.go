@@ -12,8 +12,12 @@ import (
 )
 
 // pendingOp is an in-flight protocol operation owned by a worker, keyed by
-// op id in the worker's ops table. Replies are routed to onMessage; expired
-// deadlines (retransmissions, the release barrier timeout) to onDeadline.
+// op id in the worker's ops table. Replies are routed to onMessage. The
+// worker retransmits and refits a blocking op's quorum rounds itself
+// (round.go); onDeadline carries only the decisions an op takes on a
+// timer — the release barrier's timeout, the Paxos backoff retry and
+// forced restart, and the resends of the ES write and catch-up, which are
+// not quorum rounds.
 //
 // onMessage takes the reply by value: it is an interface call, so a pointer
 // argument would move every caller's reply (the loopback ones included) to
@@ -406,7 +410,7 @@ func (w *Worker) run() {
 			}
 		}
 
-		// 4. Deadlines: barrier timeouts and retransmissions.
+		// 4. Deadlines: timer decisions and retransmissions.
 		if w.now.After(w.nextScan) {
 			w.scanDeadlines()
 			w.nextScan = w.now.Add(deadlineScanEvery)
@@ -494,6 +498,7 @@ func (w *Worker) scanDeadlines() {
 			op.onDeadline(w, w.now)
 		}
 	}
+	w.resendRounds()
 }
 
 // pump advances a session: issue queued requests in order until one blocks
@@ -520,11 +525,7 @@ func (w *Worker) pump(s *Session) {
 func (w *Worker) failAll() {
 	for _, s := range w.sessions {
 		if s.head != nil {
-			if rh, ok := s.head.(interface{ request() *Request }); ok {
-				if r := rh.request(); r != nil {
-					s.complete(r, ErrStopped)
-				}
-			}
+			s.complete(s.head.request(), ErrStopped)
 			s.head = nil
 		}
 		for s.queue.len() > 0 {
@@ -539,8 +540,9 @@ func (w *Worker) failAll() {
 // every session's write ledger refits to the new member mask — writes whose
 // only missing acks were from removed members complete here, which is what
 // keeps releases and flushes from waiting forever on a replica that is gone
-// — and a rejoin sweep in flight is rebuilt against the new member set (its
-// chunks are idempotent, so restarting the walk is merely conservative).
+// — every quorum round in flight refits (refitRounds), and a rejoin sweep
+// in flight is rebuilt against the new member set (its chunks are
+// idempotent, so restarting the walk is merely conservative).
 func (w *Worker) applyConfig() {
 	full := w.node.full()
 	for _, s := range w.sessions {
@@ -567,23 +569,13 @@ func (w *Worker) applyConfig() {
 			s.head.onTrackerUpdate(w)
 		}
 	}
-	// Ops that track quorums themselves (the Paxos proposers) re-resolve
-	// against the new member set.
-	for _, op := range w.ops {
-		if ca, ok := op.(configAware); ok {
-			ca.onConfigChange(w)
-		}
-	}
+	w.refitRounds()
 	if w.id == 0 && w.node.rejoining.Load() {
 		if op, ok := w.ops[catchupOpID(w.node.ID)].(*catchupOp); ok {
 			op.rebuild(w)
 		}
 	}
 }
-
-// configAware is implemented by pending ops that must re-resolve their
-// quorum state when a configuration epoch installs.
-type configAware interface{ onConfigChange(w *Worker) }
 
 // drainSubmitted fails every request buffered in the submit channel with
 // ErrStopped. Called by failAll on worker exit and by Session.Submit when

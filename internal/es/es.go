@@ -1,6 +1,8 @@
 package es
 
 import (
+	"math/bits"
+
 	"kite/internal/kvs"
 	"kite/internal/llc"
 	"kite/internal/proto"
@@ -81,7 +83,7 @@ func NewTrackerMask(full uint16) *Tracker {
 		pending: make(map[uint64]PendingWrite, 16),
 		settled: make(map[uint64]PendingWrite),
 		full:    full,
-		quorum:  popcount16(full)/2 + 1,
+		quorum:  bits.OnesCount16(full)/2 + 1,
 	}
 }
 
@@ -95,7 +97,7 @@ func NewTrackerMask(full uint16) *Tracker {
 // since completion tests intersect with the current mask.
 func (t *Tracker) Refit(full uint16) (completed []uint64) {
 	t.full = full
-	t.quorum = popcount16(full)/2 + 1
+	t.quorum = bits.OnesCount16(full)/2 + 1
 	for _, set := range [2]map[uint64]PendingWrite{t.pending, t.settled} {
 		for id, pw := range set {
 			if pw.Acked&full == full {
@@ -158,7 +160,7 @@ func (t *Tracker) FullyAcked() bool { return len(t.pending) == 0 && len(t.settle
 // least a quorum — invariant (1) of the slow-path release (§4.2).
 func (t *Tracker) QuorumAcked() bool {
 	for _, pw := range t.pending {
-		if popcount16(pw.Acked&t.full) < t.quorum {
+		if bits.OnesCount16(pw.Acked&t.full) < t.quorum {
 			return false
 		}
 	}
@@ -198,12 +200,4 @@ func (t *Tracker) Settle() {
 		t.settled[id] = pw
 	}
 	clear(t.pending)
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

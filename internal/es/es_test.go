@@ -147,14 +147,6 @@ func TestTrackerSettle(t *testing.T) {
 	}
 }
 
-func TestPopcount(t *testing.T) {
-	for x, want := range map[uint16]int{0: 0, 1: 1, 0b1010: 2, 0xffff: 16} {
-		if got := popcount16(x); got != want {
-			t.Errorf("popcount16(%b) = %d, want %d", x, got, want)
-		}
-	}
-}
-
 func TestTrackerRefit(t *testing.T) {
 	// 4 members {0,1,2,3}; two writes, one missing only node 3's ack, one
 	// missing nodes 2 and 3.

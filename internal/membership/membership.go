@@ -78,6 +78,66 @@ func (c Config) Remove(id uint8) Config {
 	return Config{Epoch: c.Epoch + 1, Members: c.Members &^ (1 << id)}
 }
 
+// Tally counts the distinct members that have answered one quorum round —
+// an ABD read or write round, a Paxos phase, a slow-release broadcast —
+// against a member set of n. It is a value: protocol state machines embed
+// it, reset it per round, and a reconfiguration refits it in place.
+type Tally struct {
+	got uint16 // members whose reply has been counted
+	n   uint8  // size of the member set the round counts against
+}
+
+// NewTally starts an empty round over n members.
+func NewTally(n int) Tally { return Tally{n: uint8(n)} }
+
+// Add counts from's reply; it reports false for a duplicate, which must not
+// be folded again.
+func (t *Tally) Add(from uint8) (fresh bool) {
+	bit := uint16(1) << from
+	if t.got&bit != 0 {
+		return false
+	}
+	t.got |= bit
+	return true
+}
+
+// Reset empties the tally for the next round over the same member set.
+func (t *Tally) Reset() { t.got = 0 }
+
+func (t Tally) quorum() int { return int(t.n)/2 + 1 }
+
+// Reached reports whether a majority of the members has answered.
+func (t Tally) Reached() bool { return bits.OnesCount16(t.got) >= t.quorum() }
+
+// Full reports whether every member has answered.
+func (t Tally) Full() bool { return bits.OnesCount16(t.got) >= int(t.n) }
+
+// Covers reports whether the counted repliers in mask — a subset singled
+// out by the protocol, such as those at the max stamp or those that
+// promised — form a majority on their own.
+func (t Tally) Covers(mask uint16) bool { return bits.OnesCount16(mask&t.got) >= t.quorum() }
+
+// Reachable reports whether the counted repliers in ok could still grow to
+// a majority if every member not yet heard from joined them.
+func (t Tally) Reachable(ok uint16) bool {
+	heard := bits.OnesCount16(t.got)
+	return bits.OnesCount16(ok&t.got)+int(t.n)-heard >= t.quorum()
+}
+
+// Missing returns the members of c that have not answered: the round's
+// retransmission targets.
+func (t Tally) Missing(c Config) uint16 { return c.Members &^ t.got }
+
+// Refit retargets the round at configuration c: replies from members c
+// removed stop counting, and the majority is recomputed over c's members.
+// A round blocked solely on a removed member is Reached afterwards. Safe
+// because majorities of adjacent configurations intersect (DESIGN.md
+// "Membership").
+func (t *Tally) Refit(c Config) {
+	t.got &= c.Members
+	t.n = uint8(c.N())
+}
+
 func (c Config) String() string {
 	return fmt.Sprintf("epoch %d, members %v", c.Epoch, c.MemberIDs())
 }

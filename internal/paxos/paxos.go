@@ -433,13 +433,3 @@ func HandleCommit(s *kvs.Store, m *proto.Message, self uint8) proto.Message {
 func HandleLearn(s *kvs.Store, m *proto.Message) {
 	ApplyCommit(s, m.Key, m.Slot, m.Stamp, m.Value, m.Origin, m.Origins)
 }
-
-// HandleQuery answers a committed-state query (tooling/tests).
-func HandleQuery(s *kvs.Store, m *proto.Message, self uint8, buf []byte) proto.Message {
-	rep := m.Reply(proto.KindPaxosQueryR, self)
-	snap := ReadCommitted(s, m.Key, buf)
-	rep.Slot = snap.Slot
-	rep.Stamp = snap.Stamp
-	rep.Value = snap.Val
-	return rep
-}

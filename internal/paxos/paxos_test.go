@@ -5,6 +5,7 @@ import (
 
 	"kite/internal/kvs"
 	"kite/internal/llc"
+	"kite/internal/membership"
 	"kite/internal/proto"
 )
 
@@ -152,10 +153,8 @@ func TestHandleCommitAndLearn(t *testing.T) {
 	l := &proto.Message{Kind: proto.KindPaxosLearn, From: 1, Key: 4,
 		Slot: 2, Stamp: llc.Stamp{Ver: 5, MID: 1}, Value: []byte("e")}
 	HandleLearn(s, l)
-	q := &proto.Message{Kind: proto.KindPaxosQuery, From: 1, Key: 4, OpID: 11}
-	qr := HandleQuery(s, q, 0, buf)
-	if qr.Slot != 3 || string(qr.Value) != "e" {
-		t.Fatalf("query after learn %+v", qr)
+	if snap := ReadCommitted(s, 4, buf); snap.Slot != 3 || string(snap.Val) != "e" {
+		t.Fatalf("committed state after learn: slot %d value %q", snap.Slot, snap.Val)
 	}
 }
 
@@ -314,8 +313,50 @@ func TestProposerDuplicateRepliesIgnored(t *testing.T) {
 			t.Fatal("duplicates formed quorum")
 		}
 	}
-	if p.Unseen(0b11111) != 0b10111 {
-		t.Fatalf("unseen %05b", p.Unseen(0b11111))
+	if got := p.Tally().Missing(membership.Initial(5)); got != 0b10111 {
+		t.Fatalf("missing %05b", got)
+	}
+}
+
+// TestProposerRefitResolvesEveryPhase: each phase's round, blocked only on
+// members a reconfiguration removes, resolves on Decide after the tally is
+// refit — and a removed member's promise stops counting.
+func TestProposerRefitResolvesEveryPhase(t *testing.T) {
+	five := membership.Initial(5) // quorum 3
+	p := NewProposer(1, 10, 0, five.N())
+	p.Start(0, llc.Stamp{Ver: 1, MID: 0}, []byte("m"))
+	p.OnProposeAck(ackOK(0))
+	p.OnProposeAck(ackOK(4))
+	// Removing node 4 takes its promise away: {0,1,2,3}, quorum 3, one ok.
+	cfg := five.Remove(4)
+	p.Tally().Refit(cfg)
+	if got := p.Decide(); got != ActWait {
+		t.Fatalf("propose refit = %v, want wait", got)
+	}
+	p.OnProposeAck(ackOK(1))
+	// {0,1,2}: quorum 2, two oks — the promise round resolves.
+	cfg = cfg.Remove(3)
+	p.Tally().Refit(cfg)
+	if got := p.Decide(); got != ActAccept {
+		t.Fatalf("propose refit = %v, want accept", got)
+	}
+	p.OnAcceptAck(ackOK(0))
+	cfg = cfg.Remove(2) // {0,1}: quorum 2
+	p.Tally().Refit(cfg)
+	if got := p.Decide(); got != ActWait {
+		t.Fatalf("accept refit = %v, want wait", got)
+	}
+	cfg = cfg.Remove(1) // {0}: quorum 1
+	p.Tally().Refit(cfg)
+	if got := p.Decide(); got != ActCommit {
+		t.Fatalf("accept refit = %v, want commit", got)
+	}
+	p.OnCommitAck(ackOK(0))
+	if p.Phase != PhaseDone {
+		t.Fatalf("commit round under {0} not done: %v", p.Phase)
+	}
+	if got := p.Decide(); got != ActWait {
+		t.Fatalf("Decide on a done proposer = %v", got)
 	}
 }
 

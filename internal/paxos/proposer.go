@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"kite/internal/llc"
+	"kite/internal/membership"
 	"kite/internal/proto"
 )
 
@@ -59,8 +60,6 @@ type Proposer struct {
 	Delinquent bool
 	DelinqMask uint16
 
-	n, quorum int
-
 	ownVal []byte // the RMW's own value for the current snapshot
 
 	// valOrigin identifies the RMW that produced Val (our own OpID, or the
@@ -85,7 +84,10 @@ type Proposer struct {
 
 	maxPromised llc.Stamp // highest foreign promise seen in nacks
 
-	seen, oks uint16
+	// round counts the current phase's repliers; oks are those among them
+	// that did not nack.
+	round     membership.Tally
+	oks       uint16
 	accBest   llc.Stamp
 	accVal    []byte
 	accOrigin uint64
@@ -103,7 +105,7 @@ type Proposer struct {
 
 // NewProposer creates a proposer for an n-replica deployment.
 func NewProposer(key, opID uint64, mid uint8, n int) *Proposer {
-	return &Proposer{Key: key, OpID: opID, MID: mid, n: n, quorum: n/2 + 1}
+	return &Proposer{Key: key, OpID: opID, MID: mid, round: membership.NewTally(n)}
 }
 
 // Start arms an attempt at slot with ballot, proposing ownVal (the RMW's
@@ -119,7 +121,8 @@ func (p *Proposer) Start(slot uint64, ballot llc.Stamp, ownVal []byte) {
 	p.valOrigin = p.OpID
 	p.helping = false
 	p.Phase = PhasePropose
-	p.seen, p.oks = 0, 0
+	p.round.Reset()
+	p.oks = 0
 	p.accBest, p.accVal, p.accOrigin = llc.Zero, nil, 0
 	p.maxPromised = llc.Zero
 	p.ccSeen = false
@@ -167,20 +170,11 @@ func (p *Proposer) CommitMsg(self, worker uint8) proto.Message {
 		Origin: p.valOrigin, Value: append([]byte(nil), p.Val...)}
 }
 
-// LearnMsg builds a catch-up message for a behind replica, carrying the
-// latest committed slot (slot-1) of this proposer's snapshot.
-func (p *Proposer) LearnMsg(self, worker uint8, stamp llc.Stamp, val []byte, origin uint64) proto.Message {
-	return proto.Message{Kind: proto.KindPaxosLearn, From: self, Worker: worker,
-		Key: p.Key, OpID: p.OpID, Slot: p.Slot - 1, Stamp: stamp,
-		Origin: origin, Value: val}
-}
-
 func (p *Proposer) foldCommon(m *proto.Message) (counted bool) {
-	bit := uint16(1) << m.From
-	if p.seen&bit != 0 {
+	if !p.round.Add(m.From) {
 		return false
 	}
-	p.seen |= bit
+	bit := uint16(1) << m.From
 	if m.Flags&proto.FlagDelinquent != 0 {
 		p.Delinquent = true
 		p.DelinqMask |= bit
@@ -245,14 +239,13 @@ func (p *Proposer) foldCommon(m *proto.Message) (counted bool) {
 // newer base. Restarting on the first committed-nack would double-apply
 // helped RMWs.
 func (p *Proposer) decide(okAction Action) Action {
-	seen, oks := popcount16(p.seen), popcount16(p.oks)
-	nacks := seen - oks
+	r := p.round
 	switch {
 	case p.ownCommitted:
 		return ActAlreadyCommitted
-	case oks >= p.quorum:
+	case r.Covers(p.oks):
 		return okAction
-	case seen < p.quorum:
+	case !r.Reached():
 		return ActWait
 	case p.ccSeen:
 		// The slot moved on under us. An authoritative verdict (a replica
@@ -264,12 +257,12 @@ func (p *Proposer) decide(okAction Action) Action {
 		// replied. A straggler gets one retransmission interval (the
 		// caller fires a forced restart on its deadline) before
 		// availability wins.
-		if p.slotLost || seen >= p.n {
+		if p.slotLost || r.Full() {
 			return ActRestart
 		}
 		p.pendingRestart = true
 		return ActWait
-	case seen >= p.n || nacks > p.n-p.quorum:
+	case !r.Reachable(p.oks):
 		// Can no longer reach a quorum of oks this round.
 		return ActRetry
 	default:
@@ -321,7 +314,8 @@ func (p *Proposer) decidePropose() Action {
 			}
 		}
 		p.Phase = PhaseAccept
-		p.seen, p.oks = 0, 0
+		p.round.Reset()
+		p.oks = 0
 	}
 	return act
 }
@@ -343,35 +337,31 @@ func (p *Proposer) decideAccept() Action {
 	act := p.decide(ActCommit)
 	if act == ActCommit {
 		p.Phase = PhaseCommit
-		p.seen, p.oks = 0, 0
+		p.round.Reset()
+		p.oks = 0
 	}
 	return act
 }
 
-// Refit retargets the proposer at a reconfigured member set (n members,
-// quorum, member bitmask full) and re-resolves the round in flight. Replies
-// recorded from removed members are discarded — a reply must not count
-// toward a quorum of a configuration its sender is no longer in — and a
-// round that was blocked solely on such members completes now instead of
-// retransmitting forever at nodes whose frames the epoch check rejects.
-// Quorums of the successor configuration intersect those of the
-// predecessor for the single-member changes reconfiguration commits (see
-// DESIGN.md "Membership"), which is what makes finishing the round under
-// the new arithmetic safe. The reconfiguration CAS itself depends on this
-// for its commit round: a removal's commit broadcast installs the shrunk
-// config at the committer before the leaver's ack — rejected as a
-// non-member's — could ever be counted.
-func (p *Proposer) Refit(n, quorum int, full uint16) Action {
-	p.n, p.quorum = n, quorum
-	p.seen &= full
-	p.oks &= full
+// Decide resolves the round in flight against the replies counted so far.
+// The reply handlers run it after every counted reply; a reconfiguration
+// runs it after refitting the tally (Tally), so a round blocked solely on a
+// removed member completes instead of retransmitting forever at a node
+// whose frames the epoch check rejects. Quorums of the successor
+// configuration intersect those of the predecessor for the single-member
+// changes reconfiguration commits (DESIGN.md "Membership"), which is what
+// makes finishing the round under the new arithmetic safe. The
+// reconfiguration CAS itself depends on this for its commit round: a
+// removal's commit broadcast installs the shrunk config at the committer
+// before the leaver's ack — rejected as a non-member's — could be counted.
+func (p *Proposer) Decide() Action {
 	switch p.Phase {
 	case PhasePropose:
 		return p.decidePropose()
 	case PhaseAccept:
 		return p.decideAccept()
 	case PhaseCommit:
-		if popcount16(p.oks) >= p.quorum {
+		if p.round.Reached() {
 			p.Phase = PhaseDone
 			return ActDone
 		}
@@ -381,34 +371,12 @@ func (p *Proposer) Refit(n, quorum int, full uint16) Action {
 
 // OnCommitAck folds a commit ack.
 func (p *Proposer) OnCommitAck(m *proto.Message) Action {
-	if p.Phase != PhaseCommit || m.Bits != p.attempt {
+	if p.Phase != PhaseCommit || m.Bits != p.attempt || !p.round.Add(m.From) {
 		return ActWait
 	}
-	bit := uint16(1) << m.From
-	if p.seen&bit != 0 {
-		return ActWait
-	}
-	p.seen |= bit
-	p.oks |= bit
-	if popcount16(p.oks) >= p.quorum {
-		p.Phase = PhaseDone
-		return ActDone
-	}
-	return ActWait
+	return p.Decide()
 }
 
-// Unseen returns nodes that have not replied to the current round.
-func (p *Proposer) Unseen(full uint16) uint16 {
-	if p.Phase == PhaseDone {
-		return 0
-	}
-	return full &^ p.seen
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
+// Tally returns the current phase's reply tally: its Missing set is the
+// retransmission target, and a reconfiguration refits it before Decide.
+func (p *Proposer) Tally() *membership.Tally { return &p.round }

@@ -40,15 +40,15 @@ const (
 
 	// Per-key Paxos (RMWs; §3.4). Slot is the per-key consensus instance
 	// (the number of RMWs committed on the key so far).
-	KindPropose     // Key, Slot, Stamp = ballot, OpID
-	KindProposeAck  // OpID, Flags, Slot, Stamp, Value, Bits (see paxos package)
-	KindAccept      // Key, Slot, Stamp, Value, OpID
-	KindAcceptAck   // OpID, Flags, Slot
-	KindCommit      // Key, Slot, Stamp, Value (no reply)
-	KindCommitAck   // OpID: used when the committer wants visibility (tests)
-	KindPaxosLearn  // Key, Slot, Stamp, Value: catch-up reply for laggards
-	KindPaxosQuery  // Key, OpID: read current committed slot/value (tests, weak CAS refresh)
-	KindPaxosQueryR // OpID, Slot, Stamp, Value
+	KindPropose    // Key, Slot, Stamp = ballot, OpID
+	KindProposeAck // OpID, Flags, Slot, Stamp, Value, Bits (see paxos package)
+	KindAccept     // Key, Slot, Stamp, Value, OpID
+	KindAcceptAck  // OpID, Flags, Slot
+	KindCommit     // Key, Slot, Stamp, Value (no reply)
+	KindCommitAck  // OpID: used when the committer wants visibility (tests)
+	KindPaxosLearn // Key, Slot, Stamp, Value: catch-up reply for laggards
+	kindReserved22 // retired (a committed-state query nothing sent); later kinds keep their values
+	kindReserved23 // retired (its reply)
 
 	// ZAB baseline (§7).
 	KindZabSubmit   // Key, Value, OpID: forward write to the leader
@@ -107,8 +107,8 @@ var kindNames = [...]string{
 	KindCommit:         "commit",
 	KindCommitAck:      "commit-ack",
 	KindPaxosLearn:     "paxos-learn",
-	KindPaxosQuery:     "paxos-query",
-	KindPaxosQueryR:    "paxos-query-reply",
+	kindReserved22:     "reserved",
+	kindReserved23:     "reserved",
 	KindZabSubmit:      "zab-submit",
 	KindZabProposal:    "zab-proposal",
 	KindZabAck:         "zab-ack",
@@ -204,7 +204,7 @@ func (m *Message) IsReply() bool {
 	switch m.Kind {
 	case KindESAck, KindReadTSReply, KindABDWriteAck, KindReadReply,
 		KindSlowWriteTSR, KindSlowReleaseAck, KindProposeAck, KindAcceptAck,
-		KindCommitAck, KindPaxosQueryR, KindZabReply,
+		KindCommitAck, KindZabReply,
 		KindCatchupItem, KindCatchupEnd:
 		return true
 	}

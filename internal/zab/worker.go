@@ -1,7 +1,7 @@
 package zab
 
 import (
-	"sync/atomic"
+	"math/bits"
 	"time"
 
 	"kite/internal/kvs"
@@ -195,7 +195,7 @@ func (w *worker) sequence(sub proto.Message, local bool, r *request) {
 }
 
 func (w *worker) maybeCommit(pw *pendingWrite) {
-	if popcount16(pw.acks) < w.node.quorum {
+	if bits.OnesCount16(pw.acks) < w.node.quorum {
 		return
 	}
 	delete(w.acks, pw.zxid)
@@ -272,14 +272,4 @@ func (w *worker) drainOnStop() {
 			return
 		}
 	}
-}
-
-var _ = atomic.Int64{} // keep sync/atomic for future counters
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
