@@ -53,8 +53,7 @@ func (w *Worker) issueQuorumRead(s *Session, r *Request, kind proto.Kind) {
 	*op = readOp{id: w.nextOpID(s), sess: s, req: r, epochSnap: nd.Epoch.Load()}
 	op.rd = *abd.NewReadOp(r.Key, op.id, nd.n(), kind == proto.KindAcqRead)
 	op.rnd.tally = op.rd.Tally()
-	s.head = op
-	w.register(op.id, op)
+	s.head, s.headID = op, op.id
 	w.open(&op.rnd, op.rd.ReadMsg(nd.ID, w.id, kind))
 }
 
@@ -114,7 +113,6 @@ func (op *readOp) finish(w *Worker) {
 		w.sendResetBit(op.id, op.rd.DelinqMask)
 	}
 	op.req.setOut(op.rd.MaxVal)
-	w.unregister(op.id)
 	op.sess.complete(op.req, nil)
 	op.sess.unblock()
 }

@@ -92,12 +92,12 @@ func (tp *esWriteTap) Send(dst transport.Endpoint, batch []proto.Message) {
 
 func (tp *esWriteTap) fail(msg string) { tp.bad.CompareAndSwap(nil, &msg) }
 
-// TestRecycledESWriteBuffersUnderDelayAndDup checks that recycling an
-// esWriteOp — and with it the value buffer its broadcast points into — never
-// shows in a delivered message. The origin's links are delayed by far more
-// than the retransmission interval and duplicate half their batches, so
-// every write has several copies held in the injector's timers when its
-// first copy is acked and its op is recycled for a later write. Those late
+// TestRecycledESWriteBuffersUnderDelayAndDup checks that recycling a write's
+// ledger entry — and with it the value buffer its broadcast points into —
+// never shows in a delivered message. The origin's links are delayed by far
+// more than the retransmission interval and duplicate half their batches,
+// so every write has several copies held in the injector's timers when its
+// first copy is acked and its entry is recycled for a later write. Those late
 // copies must still carry their own write's bytes: Send deep-copies.
 func TestRecycledESWriteBuffersUnderDelayAndDup(t *testing.T) {
 	cfg := testConfig(3)

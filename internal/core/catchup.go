@@ -16,7 +16,7 @@ func catchupOpID(node uint8) uint64 {
 	return uint64(node)<<56 | uint64(0xffffff)<<32 | 1
 }
 
-// startCatchup registers the sweep driver on worker 0 and sends the first
+// startCatchup installs the sweep driver on worker 0 and sends the first
 // pull to every peer. Called once, at worker-loop entry, on a node that
 // booted with Config.Rejoin.
 func (w *Worker) startCatchup() {
@@ -31,7 +31,7 @@ func (w *Worker) startCatchup() {
 		nd.finishCatchup()
 		return
 	}
-	w.register(op.id, op)
+	w.catchup = op
 	for _, p := range op.sweep.Pending() {
 		w.stage(p, catchup.PullMsg(nd.ID, w.id, op.id, op.sweep.Cursor(p)))
 	}
@@ -46,7 +46,7 @@ func (op *catchupOp) rebuild(w *Worker) {
 	nd := w.node
 	op.sweep = catchup.NewSweepMask(nd.ID, nd.full())
 	if op.sweep.Done() {
-		w.unregister(op.id)
+		w.catchup = nil
 		nd.finishCatchup()
 		return
 	}
@@ -58,16 +58,14 @@ func (op *catchupOp) rebuild(w *Worker) {
 
 // catchupOp drives the rejoin sweep: one cursor walk per peer, items merged
 // as they arrive, the node released to serve once enough peers are covered.
-// It is a pending op like any other — replies route to onMessage, the
-// deadline scan retransmits stalled pulls — except that it belongs to the
-// node rather than to a session.
+// It belongs to the node rather than to a session: worker 0 keeps it in
+// Worker.catchup, replies carrying catchupOpID route to onMessage, and the
+// timer walk re-pulls stalled peers.
 type catchupOp struct {
 	id      uint64
 	sweep   *catchup.Sweep
 	retryAt time.Time
 }
-
-func (op *catchupOp) nextDeadline() time.Time { return op.retryAt }
 
 func (op *catchupOp) onMessage(w *Worker, m proto.Message) {
 	nd := w.node
@@ -88,7 +86,7 @@ func (op *catchupOp) onMessage(w *Worker, m proto.Message) {
 			return // duplicate or stale retransmission
 		}
 		if op.sweep.Done() {
-			w.unregister(op.id)
+			w.catchup = nil
 			nd.finishCatchup()
 			return
 		}

@@ -23,8 +23,10 @@ type Config struct {
 	// path. Larger values favour staying on the fast path when replicas
 	// are slow; smaller values favour availability (§4.2, §8.4).
 	ReleaseTimeout time.Duration
-	// RetryInterval is the retransmission period for quorum rounds (ABD,
-	// Paxos, slow-release) and unacked ES writes on a lossy network.
+	// RetryInterval is the retransmission period of every round on a lossy
+	// network: the quorum rounds (ABD, Paxos, slow-release) and each
+	// relaxed write in a session's ledger, resent to the members that have
+	// not acked it.
 	RetryInterval time.Duration
 	// MailboxDepth bounds each worker's transport receive queue.
 	MailboxDepth int

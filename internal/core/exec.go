@@ -1,9 +1,8 @@
 package core
 
 import (
-	"time"
-
 	"kite/internal/abd"
+	"kite/internal/es"
 	"kite/internal/kvs"
 	"kite/internal/llc"
 	"kite/internal/proto"
@@ -76,12 +75,11 @@ func (w *Worker) issueWrite(s *Session, r *Request) {
 	n := copy(op.valBuf[:], r.Val)
 	op.wr = *abd.NewWriteOp(r.Key, op.id, op.valBuf[:n], nd.n(), true)
 	op.rnd.tally = op.wr.Tally()
-	s.head = op
-	w.register(op.id, op)
+	s.head, s.headID = op, op.id
 	w.open(&op.rnd, op.wr.ReadTSMsg(nd.ID, w.id, proto.KindSlowWriteTS))
 }
 
-// trackWrite registers an applied local write for all-ack gathering and
+// trackWrite ledgers an applied local write for all-ack gathering and
 // broadcasts it to the replicas.
 func (w *Worker) trackWrite(s *Session, key uint64, val []byte, st llc.Stamp) {
 	if w.node.n() == 1 {
@@ -93,81 +91,31 @@ func (w *Worker) trackWrite(s *Session, key uint64, val []byte, st llc.Stamp) {
 	w.broadcastWrite(s, w.nextOpID(s), key, val, st)
 }
 
-// broadcastWrite ledgers write id of session s in its tracker, registers
-// the esWriteOp that gathers its acks (recycled from freeES when one is
-// free) and broadcasts it to the remote members.
+// broadcastWrite ledgers write id of session s — the ledger entry is the
+// write's one record: its broadcast, its resend timer and its acks — and
+// broadcasts it to the remote members.
 func (w *Worker) broadcastWrite(s *Session, id, key uint64, val []byte, st llc.Stamp) {
-	var op *esWriteOp
-	if n := len(w.freeES); n > 0 {
-		op, w.freeES = w.freeES[n-1], w.freeES[:n-1]
-	} else {
-		op = new(esWriteOp)
-	}
-	op.id, op.sess, op.retryAt = id, s, w.now.Add(w.node.cfg.RetryInterval)
-	op.msg = proto.Message{
-		Kind: proto.KindESWrite, From: w.node.ID, Worker: w.id,
-		Key: key, OpID: id, Stamp: st, Value: op.valBuf[:copy(op.valBuf[:], val)],
-	}
-	s.tracker.Add(id, key, w.node.ID)
-	w.register(id, op)
-	w.broadcastRemote(op.msg)
+	e := s.tracker.Add(id, key, w.node.ID)
+	e.Msg.Worker, e.Msg.Stamp, e.Msg.Value = w.id, st, e.Val[:copy(e.Val[:], val)]
+	e.RetryAt = w.now.Add(w.node.cfg.RetryInterval)
+	w.broadcastRemote(e.Msg)
 }
 
-// maxFreeESWrites bounds a worker's esWriteOp free list. Steady state needs
-// about sessions × MaxPendingWrites; the surplus an outage's settled writes
-// leave behind when they drain is left to the GC.
-const maxFreeESWrites = 4096
-
-// retireESWrite unregisters a write that needs no more acks and keeps its op
-// for the next one. The caller must not touch op afterwards.
-func (w *Worker) retireESWrite(op *esWriteOp) {
-	w.unregister(op.id)
-	if len(w.freeES) < maxFreeESWrites {
-		op.sess = nil
-		w.freeES = append(w.freeES, op)
+// writesAcked reacts to writes leaving session s's ledger acked by every
+// current member: each write's (key, stamp) may be validated cluster-wide
+// for the local-acquire fast path, a throttled session runs again, and the
+// head re-checks the barrier it may be waiting on.
+func (w *Worker) writesAcked(s *Session, done ...*es.Write) {
+	for _, e := range done {
+		w.queueValidate(e.Msg.Key, e.Msg.Stamp)
 	}
-}
-
-// esWriteOp tracks one broadcast relaxed write until every replica acks it
-// (or until a slow-release settles it).
-type esWriteOp struct {
-	id      uint64
-	sess    *Session
-	msg     proto.Message
-	valBuf  [kvs.MaxValueLen]byte
-	retryAt time.Time
-}
-
-func (op *esWriteOp) nextDeadline() time.Time { return op.retryAt }
-
-func (op *esWriteOp) onMessage(w *Worker, m proto.Message) {
-	if m.Kind != proto.KindESAck {
-		return
+	if s.throttled {
+		s.throttled = false
+		w.enqueueRun(s)
 	}
-	s := op.sess
-	if _, done := s.tracker.Ack(op.id, m.From); done {
-		// Every current member has acked: the write's (key, stamp) may be
-		// validated cluster-wide for the local-acquire fast path.
-		w.queueValidate(op.msg.Key, op.msg.Stamp)
-		w.retireESWrite(op)
-		if s.throttled {
-			s.throttled = false
-			w.enqueueRun(s)
-		}
-		if s.head != nil {
-			s.head.onTrackerUpdate(w)
-		}
+	if s.head != nil {
+		s.head.onTrackerUpdate(w)
 	}
-}
-
-func (op *esWriteOp) onDeadline(w *Worker, now time.Time) {
-	unacked := op.sess.tracker.Unacked(op.id)
-	if unacked == 0 {
-		w.retireESWrite(op)
-		return
-	}
-	w.retransmit(op.msg, unacked)
-	op.retryAt = now.Add(w.node.cfg.RetryInterval)
 }
 
 // slowWriteOp is the out-of-epoch relaxed write: the LLC round of an ABD
@@ -209,12 +157,10 @@ func (op *slowWriteOp) complete(w *Worker) {
 	nd := w.node
 	st := nd.Store.WriteAtLeast(op.req.Key, op.wr.Val, op.wr.MaxTS, nd.ID, op.epochSnap)
 
-	if nd.n() == 1 {
-		// Sole replica: fully replicated on apply, nothing to track (see
-		// trackWrite).
-		w.unregister(op.id)
-	} else {
-		w.broadcastWrite(op.sess, op.id, op.req.Key, op.wr.Val, st) // replaces this op under the same id
+	if nd.n() > 1 {
+		// The write's ledger entry takes over this op's id (a sole replica
+		// is fully replicated on apply, see trackWrite).
+		w.broadcastWrite(op.sess, op.id, op.req.Key, op.wr.Val, st)
 	}
 
 	op.sess.complete(op.req, nil)

@@ -28,12 +28,12 @@ func (w *Worker) issueFlush(s *Session, r *Request) {
 	}
 	op := &s.ops.flush
 	*op = flushOp{sess: s, req: r}
-	s.head = op
+	s.head, s.headID = op, 0 // waits on the ledger; no reply is its own
 }
 
 // flushOp is the blocking head op of an in-flight flush. It owns no
-// protocol rounds of its own — the tracked ES writes retransmit themselves —
-// so it only listens for the ledger going clean.
+// protocol rounds of its own — the ledger's writes keep retransmitting — so
+// it only listens for the ledger going clean.
 type flushOp struct {
 	untimed
 	sess *Session

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"kite/internal/abd"
+	"kite/internal/es"
 	"kite/internal/llc"
 	"kite/internal/membership"
 	"kite/internal/paxos"
@@ -198,31 +200,37 @@ type refitNet struct {
 	done  map[*Request]bool
 }
 
-func newRefitNet(t *testing.T, n int, disableFastPath bool) *refitNet {
-	tr := transport.NewInProc(n, 1, 0)
+func newRefitNet(t *testing.T, n, workers int, disableFastPath bool) *refitNet {
+	tr := transport.NewInProc(n, workers, 0)
 	t.Cleanup(func() { tr.Close() })
 	net := &refitNet{done: map[*Request]bool{}}
 	for i := 0; i < n; i++ {
 		nd, err := NewNode(uint8(i), Config{
-			Nodes: n, Workers: 1, SessionsPerWorker: 1, KVSCapacity: 1 << 10,
+			Nodes: n, Workers: workers, SessionsPerWorker: 1, KVSCapacity: 1 << 10,
 			DisableFastPath: disableFastPath,
 		}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(nd.Stop)
-		nd.workers[0].now = time.Now()
+		for _, w := range nd.workers {
+			w.now = time.Now()
+		}
 		net.nodes = append(net.nodes, nd)
 	}
 	return net
 }
 
-// issue starts r on node 0's session.
+// issue starts r on node 0's first session.
 func (net *refitNet) issue(r *Request) *Request {
-	w := net.nodes[0].workers[0]
-	r.sess = w.sessions[0]
+	return net.issueOn(net.nodes[0].workers[0].sessions[0], r)
+}
+
+// issueOn starts r on session s (the test runs s's worker).
+func (net *refitNet) issueOn(s *Session, r *Request) *Request {
+	r.sess = s
 	r.Done = func(r *Request) { net.done[r] = true }
-	w.issue(r.sess, r)
+	s.w.issue(s, r)
 	return r
 }
 
@@ -247,14 +255,18 @@ func (net *refitNet) deliver(from, to int) {
 // refits and its op resolves against the surviving set) instead of
 // retransmitting forever at nodes whose frames the epoch check would
 // reject. The install is the unit-level view of a committed shrink (the
-// CAS itself cannot quorate with the sleepers down).
+// CAS itself cannot quorate with the sleepers down). The same holds for the
+// write ledger: a write whose only missing acks were the removed members'
+// completes, and validates like an ordinary full ack.
 func TestRefitCompletesInflightRounds(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		nodes    int
-		slowPath bool // DisableFastPath: relaxed accesses take the quorum rounds
+		slowPath bool   // DisableFastPath: relaxed accesses take the quorum rounds
+		members  uint16 // the shrunk config (default: node 0 alone)
 		block    func(t *testing.T, net *refitNet) *Request
 		want     string
+		validate uint64 // key of a write the refit completes (0: none)
 	}{
 		{name: "release-llc", nodes: 2, block: func(t *testing.T, net *refitNet) *Request {
 			return net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("v")})
@@ -323,26 +335,82 @@ func TestRefitCompletesInflightRounds(t *testing.T) {
 			}
 			return r
 		}},
+		{name: "flush-pending", nodes: 2, validate: 7, block: func(t *testing.T, net *refitNet) *Request {
+			// Node 1 never sees the write, so the flush waits on its ack.
+			net.issue(&Request{Code: OpWrite, Key: 7, Val: []byte("w")})
+			return net.issue(&Request{Code: OpFlush})
+		}},
+		{name: "flush-settled", nodes: 3, members: 0b011, validate: 7, block: func(t *testing.T, net *refitNet) *Request {
+			// A write acked by {0,1} is settled by a slow release whose
+			// DM-set {0,1} acks; the flush still waits on node 2's ack.
+			net.issue(&Request{Code: OpWrite, Key: 7, Val: []byte("w")})
+			net.exchange(1)
+			rel := net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("v")})
+			net.exchange(1)
+			w := net.nodes[0].workers[0]
+			w.now = w.now.Add(time.Hour)
+			w.scanDeadlines()
+			net.exchange(1) // the DM-set quorates and the writes settle
+			net.exchange(1) // the value round
+			if !net.done[rel] {
+				t.Fatal("slow release did not complete")
+			}
+			if tr := w.sessions[0].tracker; !tr.AllAcked() || tr.FullyAcked() {
+				t.Fatal("the write is not settled")
+			}
+			return net.issue(&Request{Code: OpFlush})
+		}},
+		{name: "release-barrier", nodes: 2, validate: 7, block: func(t *testing.T, net *refitNet) *Request {
+			net.issue(&Request{Code: OpWrite, Key: 7, Val: []byte("w")})
+			w := net.nodes[0].workers[0]
+			w.out[1] = w.out[1][:0] // the broadcast is lost
+			r := net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("v")})
+			net.exchange(1) // the LLC round quorates; only the barrier holds
+			if op := &w.sessions[0].ops.rel; op.bar.done || op.wr.Phase != abd.WriteValue {
+				t.Fatalf("release in phase %v (barrier done %v), want waiting on the barrier", op.wr.Phase, op.bar.done)
+			}
+			return r
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := newRefitNet(t, tc.nodes, tc.slowPath)
+			net := newRefitNet(t, tc.nodes, 1, tc.slowPath)
 			r := tc.block(t, net)
 			if net.done[r] {
 				t.Fatal("completed while its round was blocked")
 			}
 			nd := net.nodes[0]
-			if !nd.InstallConfig(membership.Config{Epoch: 1, Members: 0b1}) {
+			members := tc.members
+			if members == 0 {
+				members = 0b1
+			}
+			if !nd.InstallConfig(membership.Config{Epoch: 1, Members: members}) {
 				t.Fatal("install refused")
 			}
-			nd.workers[0].applyConfig()
+			w := nd.workers[0]
+			w.applyConfig()
 			if !net.done[r] || r.Err != nil {
 				t.Fatalf("still blocked after the members were removed (done=%v err=%v)", net.done[r], r.Err)
 			}
 			if tc.want != "" && string(r.Out) != tc.want {
 				t.Fatalf("result %q, want %q", r.Out, tc.want)
 			}
+			if !w.sessions[0].tracker.FullyAcked() {
+				t.Fatal("the ledger still holds writes")
+			}
+			if tc.validate != 0 && !slices.Contains(validatedKeys(w), tc.validate) {
+				t.Fatalf("key %d not queued for validation (pending %v)", tc.validate, w.pendingVal)
+			}
 		})
 	}
+}
+
+// validatedKeys lists the keys of the worker's queued validate pairs.
+func validatedKeys(w *Worker) []uint64 {
+	var keys []uint64
+	for i := 0; i+1 < len(w.pendingVal); i += 2 {
+		keys = append(keys, w.pendingVal[i])
+	}
+	return keys
 }
 
 // TestInstallConfigMonotone checks installs never regress and removal marks
@@ -400,3 +468,106 @@ func TestConfigExchangeMessages(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestReplyRoutingDropsUnownedReplies pins reply routing by op id (the
+// layout of Worker.nextOpID). Reply ids come off the wire, so a reply
+// reaches a write ledger or a head op only when its id names this node's
+// incarnation, a session this worker owns, and an op that session still
+// holds. Each row's reply names something else: it must be dropped without
+// a panic and without touching any session — another worker's above all,
+// which would be a data race.
+func TestReplyRoutingDropsUnownedReplies(t *testing.T) {
+	net := newRefitNet(t, 3, 2, false)
+	nd := net.nodes[0]
+	w := nd.workers[0]
+	// Worker 0 runs session 0 and the admin session, worker 1 session 1.
+	s0, admin, theirs := w.sessions[0], w.sessions[1], nd.workers[1].sessions[0]
+	ledgered := func(s *Session, key uint64) *es.Write {
+		t.Helper()
+		for e := range s.tracker.All() {
+			if e.Msg.Key == key {
+				return e
+			}
+		}
+		t.Fatalf("no write to key %d in session %d's ledger", key, s.idx)
+		return nil
+	}
+
+	// A release that completes; the next one reuses its op in place.
+	r1 := net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("a")})
+	replaced := s0.headID
+	net.exchange(1)
+	net.exchange(1)
+	if !net.done[r1] {
+		t.Fatal("first release did not complete")
+	}
+	// Write 7 never reaches node 2; write 8 is acked by all and gone.
+	net.issue(&Request{Code: OpWrite, Key: 7, Val: []byte("w")})
+	w.out[2] = w.out[2][:0]
+	net.issue(&Request{Code: OpWrite, Key: 8, Val: []byte("x")})
+	gone := ledgered(s0, 8).Msg.OpID
+	net.exchange(1)
+	net.deliver(0, 2)
+	net.deliver(2, 0)
+	held := ledgered(s0, 7)
+	// The head: a release whose barrier waits on write 7 and whose LLC
+	// round has only the local reply. And a write of worker 1's session.
+	r2 := net.issue(&Request{Code: OpRelease, Key: 5, Val: []byte("b")})
+	head := s0.headID
+	tally := *s0.ops.rel.wr.Tally()
+	net.issueOn(theirs, &Request{Code: OpWrite, Key: 9, Val: []byte("y")})
+	foreign := ledgered(theirs, 9)
+
+	reply := func(kind proto.Kind, from uint8, id uint64) proto.Message {
+		return proto.Message{Kind: kind, From: from, OpID: id, Epoch: nd.ConfigEpoch()}
+	}
+	field := func(id uint64, shift, width uint, v uint64) uint64 {
+		mask := (uint64(1)<<width - 1) << shift
+		return id&^mask | v<<shift&mask
+	}
+	for _, tc := range []struct {
+		name string
+		m    proto.Message
+	}{
+		{"another node's write", reply(proto.KindESAck, 2, field(held.Msg.OpID, 56, 8, 1))},
+		{"another node's head", reply(proto.KindReadTSReply, 2, field(head, 56, 8, 2))},
+		{"another incarnation", reply(proto.KindReadTSReply, 2, field(head, 40, 16, 1))},
+		// Indexes this worker would own (session i runs on worker i mod
+		// Workers) but past its sessions, the admin session included.
+		{"session past the admin session", reply(proto.KindReadTSReply, 2, field(head, 32, 8, uint64(len(nd.sessions)+len(nd.workers))))},
+		{"session index 254", reply(proto.KindESAck, 2, field(held.Msg.OpID, 32, 8, 254))},
+		{"session of another worker", reply(proto.KindESAck, 1, foreign.Msg.OpID)},
+		{"admin session, no head", reply(proto.KindReadTSReply, 2, field(head, 32, 8, uint64(admin.idx)))},
+		{"head replaced in place", reply(proto.KindReadTSReply, 2, replaced)},
+		{"write no longer ledgered", reply(proto.KindESAck, 2, gone)},
+		{"catch-up reply without a sweep", reply(proto.KindCatchupEnd, 2, catchupOpID(nd.ID))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			staged := len(w.out[1]) + len(w.out[2])
+			w.dispatch(&tc.m)
+			switch {
+			case s0.tracker.Missing(held) != 0b100:
+				t.Fatalf("write 7 now misses %03b, want 100", s0.tracker.Missing(held))
+			case theirs.tracker.Missing(foreign) != 0b110:
+				t.Fatalf("worker 1's write now misses %03b, want 110", theirs.tracker.Missing(foreign))
+			case s0.head == nil || s0.headID != head || net.done[r2] || *s0.ops.rel.wr.Tally() != tally:
+				t.Fatal("the head release was touched")
+			case admin.head != nil || len(w.out[1])+len(w.out[2]) != staged:
+				t.Fatal("the reply set something in motion")
+			}
+		})
+	}
+
+	// The genuine replies still route: node 2's LLC reply to the head, then
+	// its ack of write 7, which releases the barrier.
+	w.dispatch(ptr(reply(proto.KindReadTSReply, 2, head)))
+	if *s0.ops.rel.wr.Tally() == tally {
+		t.Fatal("the head's own reply was not counted")
+	}
+	w.dispatch(ptr(reply(proto.KindESAck, 2, held.Msg.OpID)))
+	if !s0.tracker.FullyAcked() || !s0.ops.rel.bar.done {
+		t.Fatal("the ledger's own ack was not counted")
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

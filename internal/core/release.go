@@ -109,8 +109,7 @@ func (w *Worker) issueRelease(s *Session, r *Request) {
 	n := copy(op.valBuf[:], r.Val)
 	op.wr = *abd.NewWriteOp(r.Key, op.id, op.valBuf[:n], nd.n(), false)
 	op.rnd.tally = op.wr.Tally()
-	s.head = op
-	w.register(op.id, op)
+	s.head, s.headID = op, op.id
 	w.open(&op.rnd, op.wr.ReadTSMsg(nd.ID, w.id, proto.KindReadTS))
 	op.bar.barrierInit(w, s)
 	op.resolve(w)
@@ -172,7 +171,6 @@ func (op *releaseOp) resolve(w *Worker) {
 }
 
 func (op *releaseOp) finish(w *Worker) {
-	w.unregister(op.id)
 	op.sess.complete(op.req, nil)
 	op.sess.unblock()
 }

@@ -45,8 +45,7 @@ func (w *Worker) issueRMW(s *Session, r *Request) {
 	*op = rmwOp{id: w.nextOpID(s), sess: s, req: r, epochSnap: epoch}
 	op.prop = *paxos.NewProposer(r.Key, op.id, nd.ID, nd.n())
 	op.rnd.tally = op.prop.Tally()
-	s.head = op
-	w.register(op.id, op)
+	s.head, s.headID = op, op.id
 	op.bar.barrierInit(w, s)
 	op.propose(w) // overlaps the barrier wait; accepts stay gated
 }
@@ -288,7 +287,6 @@ func (op *rmwOp) finish(w *Worker) {
 	}
 	op.req.Out = op.req.outBuf[:copy(op.req.outBuf[:], op.resBuf[:op.resLen])]
 	op.req.Swapped = op.swapped
-	w.unregister(op.id)
 	op.sess.complete(op.req, nil)
 	op.sess.unblock()
 }

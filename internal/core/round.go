@@ -12,9 +12,11 @@ import (
 // broadcast — is a round: a membership.Tally inside the protocol state
 // machine counts its distinct repliers, and a round record here keeps the
 // message that opened it and when to resend it. The worker owns what every
-// round needs and no op decides differently: retransmission (resendRounds)
-// and reconfiguration (refitRounds). An op decides only what its replies
-// mean and what it does on a timer that is not a resend.
+// round needs and no op decides differently: retransmission (scanDeadlines,
+// which resends a relaxed write's ledger entry — the round that must cover
+// every member — by the same rule) and reconfiguration (refitRounds). An op
+// decides only what its replies mean and what it does on a timer that is
+// not a resend.
 
 // round is the retransmission record of one of an op's quorum rounds.
 type round struct {
@@ -36,24 +38,6 @@ func (w *Worker) open(r *round, m proto.Message) {
 // close stops the round's retransmission (resolved, or waiting on something
 // other than replies).
 func (r *round) close() { r.retryAt = time.Time{} }
-
-// resendRounds is the one retransmission path for quorum rounds: every round
-// whose RetryInterval has run out since it was last sent goes again to the
-// members its tally is still missing. Rounds belong to session heads only.
-func (w *Worker) resendRounds() {
-	for _, s := range w.sessions {
-		if s.head == nil {
-			continue
-		}
-		for _, r := range s.head.rounds() {
-			if r == nil || r.retryAt.IsZero() || !w.now.After(r.retryAt) {
-				continue
-			}
-			w.retransmit(r.msg, r.tally.Missing(w.node.View()))
-			r.retryAt = w.now.Add(w.node.cfg.RetryInterval)
-		}
-	}
-}
 
 // refitRounds is the one config-change path for quorum rounds: every
 // round's tally drops removed members' replies and recounts its majority

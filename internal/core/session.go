@@ -1,9 +1,12 @@
 package core
 
 import (
+	"time"
+
 	"kite/internal/es"
 	"kite/internal/kvs"
 	"kite/internal/membership"
+	"kite/internal/proto"
 )
 
 // Session is the unit of ordering in Kite: requests submitted to a session
@@ -25,6 +28,9 @@ type Session struct {
 	// writes do not block; releases/acquires/RMWs and slow-path relaxed
 	// accesses do.
 	head blockingOp
+	// headID is the op id head was issued under: replies carrying it route
+	// to head (Worker.dispatchReply).
+	headID uint64
 	// throttled marks the session as waiting for write acks (flow
 	// control when tracker.Len() exceeds MaxPendingWrites).
 	throttled bool
@@ -33,9 +39,9 @@ type Session struct {
 
 	// ops stores the session's blocking ops, one of each kind, reused in
 	// place rather than allocated per operation. A session runs at most one
-	// at a time (head), and a completed op is referenced by nothing: it has
-	// left the worker's ops table, and any message it staged aliasing its
-	// buffers was flushed before a reply could complete it.
+	// at a time (head), and a completed op is referenced by nothing: it is
+	// no longer head, so no reply reaches it, and any message it staged
+	// aliasing its buffers was flushed before a reply could complete it.
 	ops struct {
 		rel   releaseOp
 		rd    readOp
@@ -45,12 +51,21 @@ type Session struct {
 	}
 }
 
-// blockingOp is the in-flight head operation of a session: it completes
-// request(), ops that wait on the release barrier react to tracker updates,
-// and its quorum rounds — only a session head runs any — are retransmitted
-// and refit by the worker (round.go).
+// blockingOp is the in-flight head operation of a session: replies carrying
+// its op id route to onMessage, it completes request(), ops that wait on
+// the release barrier react to tracker updates, and its quorum rounds —
+// only a session head runs any — are retransmitted and refit by the worker
+// (round.go). onDeadline carries only the decisions an op takes on a timer
+// that is not a resend: the release barrier's timeout and the Paxos
+// backoff retry and forced restart.
+//
+// onMessage takes the reply by value: it is an interface call, so a pointer
+// argument would move every caller's reply (the loopback ones included) to
+// the heap, one allocation per reply; copying a Message costs less.
 type blockingOp interface {
-	pendingOp
+	onMessage(w *Worker, m proto.Message)
+	onDeadline(w *Worker, now time.Time)
+	nextDeadline() time.Time
 	request() *Request
 	onTrackerUpdate(w *Worker)
 	// rounds returns the records of the op's quorum rounds (nil-padded).

@@ -11,27 +11,10 @@ import (
 	"kite/internal/transport"
 )
 
-// pendingOp is an in-flight protocol operation owned by a worker, keyed by
-// op id in the worker's ops table. Replies are routed to onMessage. The
-// worker retransmits and refits a blocking op's quorum rounds itself
-// (round.go); onDeadline carries only the decisions an op takes on a
-// timer — the release barrier's timeout, the Paxos backoff retry and
-// forced restart, and the resends of the ES write and catch-up, which are
-// not quorum rounds.
-//
-// onMessage takes the reply by value: it is an interface call, so a pointer
-// argument would move every caller's reply (the loopback ones included) to
-// the heap, one allocation per reply; copying a Message costs less.
-type pendingOp interface {
-	onMessage(w *Worker, m proto.Message)
-	onDeadline(w *Worker, now time.Time)
-	nextDeadline() time.Time
-}
-
 // Worker executes sessions and protocol handlers in a single-threaded event
 // loop — the Kite worker thread of §6.1. All state it touches (sessions,
-// ops, outboxes) is goroutine-local; shared node state (KVS, epoch,
-// delinquency vector) is internally synchronised.
+// their ops and write ledgers, outboxes) is goroutine-local; shared node
+// state (KVS, epoch, delinquency vector) is internally synchronised.
 type Worker struct {
 	node *Node
 	id   uint8
@@ -40,7 +23,8 @@ type Worker struct {
 	reqCh chan *Request
 
 	sessions []*Session
-	ops      map[uint64]pendingOp
+	// catchup is the rejoin sweep in flight (worker 0 only, nil otherwise).
+	catchup *catchupOp
 
 	// out stages outgoing messages per destination node; flush() sends
 	// each stage as one batch (opportunistic batching, §6.3).
@@ -54,13 +38,6 @@ type Worker struct {
 	pendingVal []uint64
 
 	runq fifo[*Session]
-
-	// freeES recycles esWriteOps (and their value buffers) once their write
-	// is fully acked: the relaxed-write fast path allocates nothing at its
-	// high-water mark. Safe because Send copies every payload (the
-	// transport contract), so no in-flight message aliases a recycled
-	// buffer.
-	freeES []*esWriteOp
 
 	scratch [kvs.MaxValueLen]byte
 	now     time.Time
@@ -87,7 +64,6 @@ func newWorker(nd *Node, id uint8) *Worker {
 		id:    id,
 		inbox: nd.tr.Recv(transport.Endpoint{Node: nd.ID, Worker: id}),
 		reqCh: make(chan *Request, 1024),
-		ops:   make(map[uint64]pendingOp, 256),
 		// Staging is sized for the id space, not the current member count:
 		// reconfiguration can add members with ids beyond the boot-time n.
 		out:      make([][]proto.Message, llc.MaxNodes),
@@ -98,7 +74,9 @@ func newWorker(nd *Node, id uint8) *Worker {
 
 // nextOpID allocates a cluster-unique operation id for an op of session s:
 // node(8) | incarnation(16) | session(8) | per-session sequence(32). The
-// high 32 bits form the session tag the Paxos exactly-once filter keys on:
+// layout also routes replies: the session field names the op's session
+// (Worker.session), whose head or write ledger holds the op. The high 32
+// bits form the session tag the Paxos exactly-once filter keys on:
 // a session has at most one outstanding RMW, so "the session's latest
 // committed RMW id" decides whether a given RMW already committed. The
 // incarnation makes the tag unique across crash-restarts of the node —
@@ -113,8 +91,24 @@ func (w *Worker) nextOpID(s *Session) uint64 {
 		uint64(uint8(s.idx))<<32 | uint64(uint32(s.opSeq))
 }
 
-func (w *Worker) register(id uint64, op pendingOp) { w.ops[id] = op }
-func (w *Worker) unregister(id uint64)             { delete(w.ops, id) }
+// session returns this worker's session that op id names, or nil when the
+// id names another node, another incarnation, a session index past the
+// node's sessions (the admin session included) or a session another worker
+// owns. Reply op ids come off the wire, so each of these is checked before
+// anything is indexed — and another worker's session is never touched.
+func (w *Worker) session(id uint64) *Session {
+	nd := w.node
+	if id>>40 != uint64(nd.ID)<<16|uint64(uint16(nd.cfg.Incarnation)) {
+		return nil
+	}
+	// Session i runs on worker i mod Workers, at index i div Workers of its
+	// sessions (NewNode); the admin session is worker 0's last.
+	i, nw := int(uint8(id>>32)), len(nd.workers)
+	if i%nw != int(w.id) || i/nw >= len(w.sessions) {
+		return nil
+	}
+	return w.sessions[i/nw]
+}
 
 // stage queues m for dst's same-index worker, stamping it with the
 // configuration epoch installed NOW — not at flush — so a frame staged just
@@ -171,16 +165,32 @@ func (w *Worker) sendResetBit(opID uint64, mask uint16) {
 }
 
 // deliverLocal runs the replica-side handler for m against the local node
-// and routes the reply (if any) straight back into this worker's ops.
+// and routes the reply (if any) straight back to this worker's op.
 func (w *Worker) deliverLocal(m proto.Message) {
 	if rep, ok := w.handleRequest(&m); ok {
 		w.dispatchReply(rep)
 	}
 }
 
+// dispatchReply routes a reply by its op id: catch-up replies to the
+// rejoin sweep, ES acks to the write ledger of the session the id names,
+// and every other reply to that session's head op if the head carries the
+// id. Anything else — a reply for a finished, replaced or foreign op — is
+// dropped.
 func (w *Worker) dispatchReply(m proto.Message) {
-	if op, ok := w.ops[m.OpID]; ok {
+	if op := w.catchup; op != nil && m.OpID == op.id {
 		op.onMessage(w, m)
+		return
+	}
+	s := w.session(m.OpID)
+	switch {
+	case s == nil: // not an op of this worker
+	case m.Kind == proto.KindESAck:
+		if e := s.tracker.Ack(m.OpID, m.From); e != nil {
+			w.writesAcked(s, e)
+		}
+	case s.head != nil && s.headID == m.OpID:
+		s.head.onMessage(w, m)
 	}
 }
 
@@ -269,11 +279,6 @@ func (w *Worker) handleConfig(m *proto.Message) {
 // next flush. Validation is deliberately deferred to flush time — losing
 // the batch (crash before flush) only costs fallbacks, never correctness.
 func (w *Worker) queueValidate(key uint64, st llc.Stamp) {
-	if w.node.n() == 1 {
-		// Sole replica: nothing tracks, nothing validates — acquires are
-		// served by the ABD loopback.
-		return
-	}
 	w.pendingVal = es.AppendValidate(w.pendingVal, key, st)
 }
 
@@ -492,13 +497,44 @@ func (w *Worker) idleWait() {
 	}
 }
 
+// scanDeadlines is the worker's one timer walk. For each session: the head
+// op's timed decision (onDeadline), then every due quorum round of the head
+// and every due write in the ledger, each resent to the members it is still
+// missing. Then the rejoin sweep's stall timer.
 func (w *Worker) scanDeadlines() {
-	for _, op := range w.ops {
-		if d := op.nextDeadline(); !d.IsZero() && w.now.After(d) {
-			op.onDeadline(w, w.now)
+	view := w.node.View()
+	for _, s := range w.sessions {
+		if op := s.head; op != nil {
+			if d := op.nextDeadline(); !d.IsZero() && w.now.After(d) {
+				op.onDeadline(w, w.now)
+			}
+		}
+		if op := s.head; op != nil { // onDeadline may have finished it
+			for _, r := range op.rounds() {
+				if r != nil && w.due(&r.retryAt) {
+					w.retransmit(r.msg, r.tally.Missing(view))
+				}
+			}
+		}
+		for e := range s.tracker.All() {
+			if w.due(&e.RetryAt) {
+				w.retransmit(e.Msg, s.tracker.Missing(e))
+			}
 		}
 	}
-	w.resendRounds()
+	if op := w.catchup; op != nil && w.now.After(op.retryAt) {
+		op.onDeadline(w, w.now)
+	}
+}
+
+// due reports whether a resend armed for *at has come due, re-arming it one
+// RetryInterval on if so. A zero time is a round with nothing on the wire.
+func (w *Worker) due(at *time.Time) bool {
+	if at.IsZero() || !w.now.After(*at) {
+		return false
+	}
+	*at = w.now.Add(w.node.cfg.RetryInterval)
+	return true
 }
 
 // pump advances a session: issue queued requests in order until one blocks
@@ -546,34 +582,16 @@ func (w *Worker) failAll() {
 func (w *Worker) applyConfig() {
 	full := w.node.full()
 	for _, s := range w.sessions {
-		done := s.tracker.Refit(full)
-		for _, id := range done {
-			// A write completed by the refit has been acked by every CURRENT
-			// member (a grown mask never completes early), so it validates
-			// exactly like an ordinary full-ack.
-			if esop, ok := w.ops[id].(*esWriteOp); ok {
-				w.queueValidate(esop.msg.Key, esop.msg.Stamp)
-				w.retireESWrite(esop)
-			} else {
-				w.unregister(id)
-			}
-		}
-		if len(done) == 0 {
-			continue
-		}
-		if s.throttled {
-			s.throttled = false
-			w.enqueueRun(s)
-		}
-		if s.head != nil {
-			s.head.onTrackerUpdate(w)
+		// A write completed by the refit has been acked by every CURRENT
+		// member (a grown mask never completes early), so it validates
+		// exactly like an ordinary full-ack.
+		if done := s.tracker.Refit(full); len(done) > 0 {
+			w.writesAcked(s, done...)
 		}
 	}
 	w.refitRounds()
-	if w.id == 0 && w.node.rejoining.Load() {
-		if op, ok := w.ops[catchupOpID(w.node.ID)].(*catchupOp); ok {
-			op.rebuild(w)
-		}
+	if w.catchup != nil {
+		w.catchup.rebuild(w)
 	}
 }
 

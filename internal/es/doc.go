@@ -12,20 +12,22 @@
 // What ES contributes to Kite beyond plain eventual consistency is the
 // ACK TRACKING used by the Release Consistency barrier (§4.2): every
 // relaxed write gathers acknowledgements from all replicas, and the Tracker
-// in this package is the per-session ledger the release barrier consults
-// ("have all my writes been acked by everyone?") and from which the DM-set
-// of delinquent machines is computed on timeout.
+// in this package is the per-session write ledger the release barrier
+// consults ("have all my writes been acked by everyone?") and from which
+// the DM-set of delinquent machines is computed on timeout. Each entry
+// (Write) is its write's only record: the broadcast, its resend time and
+// its ackers.
 //
-// The Tracker distinguishes two ledgers, a distinction introduced by the
+// An entry is either pending or settled, a distinction introduced by the
 // sharding layer (DESIGN.md "Sharding"):
 //
-//   - pending — writes not yet fully acked and not covered by any published
-//     DM-set. They gate both the in-group release barrier (AllAcked) and
-//     the cross-shard flush fence (FullyAcked).
-//   - settled — writes whose DM-set a slow release has published. They
-//     satisfy the in-group barrier (later acquires in this group consult
-//     the DM-set) but keep retransmitting and keep gating the flush fence,
-//     because a DM-set is invisible to consumers synchronising in a
+//   - pending — not yet fully acked and not covered by any published
+//     DM-set. Pending writes gate both the in-group release barrier
+//     (AllAcked) and the cross-shard flush fence (FullyAcked).
+//   - settled — a slow release has published a DM-set covering it. Settled
+//     writes satisfy the in-group barrier (later acquires in this group
+//     consult the DM-set) but keep retransmitting and keep gating the flush
+//     fence, because a DM-set is invisible to consumers synchronising in a
 //     different replica group.
 //
 // The ack an ES replica sends means, precisely: "a local read here can no

@@ -1,7 +1,9 @@
 package es
 
 import (
+	"iter"
 	"math/bits"
+	"time"
 
 	"kite/internal/kvs"
 	"kite/internal/llc"
@@ -38,37 +40,49 @@ func AppendValidate(batch []uint64, key uint64, st llc.Stamp) []uint64 {
 	return append(batch, key, st.Pack())
 }
 
-// PendingWrite tracks one relaxed write awaiting acknowledgements.
-type PendingWrite struct {
-	OpID  uint64
-	Key   uint64
-	Acked uint16 // bitmask of nodes that acked (origin included)
+// Write is one relaxed write in its session's ledger: the round that must
+// cover every member, not a majority. The entry is the write's only record
+// — its broadcast, when to resend it, and who has acked — and it leaves the
+// ledger once every member has.
+type Write struct {
+	// Msg is the KindESWrite broadcast. Add fills in its kind, origin, key
+	// and op id; the owner adds the rest, copying the value into Val so the
+	// broadcast outlives the caller's buffer.
+	Msg proto.Message
+	Val [kvs.MaxValueLen]byte
+	// RetryAt is when Msg is next resent to the members still missing.
+	RetryAt time.Time
+	acked   uint16 // members that acked (origin included)
+	settled bool   // a slow release has published a DM-set covering it
 }
 
-// Tracker is a session's ledger of writes that have not yet been acked by
-// every replica. A release may begin only once the pending set is clean —
-// or once the slow-release protocol has published its DM-set, which moves
-// the writes to the settled set: covered for the purposes of *this group's*
-// release barrier (later acquires here consult the DM-set), but still short
-// of full replication. The distinction matters to OpFlush, the cross-shard
-// fence: a DM-set is invisible to consumers synchronising in a different
-// replica group, so the fence waits for pending AND settled to drain
-// (FullyAcked), while releases keep the paper's availability story
-// (AllAcked, pending only).
+// Tracker is a session's write ledger: every relaxed write not yet acked by
+// every member. A release may begin only once no unsettled write remains —
+// or once the slow-release protocol has published its DM-set, which settles
+// the writes: covered for the purposes of *this group's* release barrier
+// (later acquires here consult the DM-set), but still short of full
+// replication, so they keep retransmitting. The distinction matters to
+// OpFlush, the cross-shard fence: a DM-set is invisible to consumers
+// synchronising in a different replica group, so the fence waits for every
+// write, settled or not (FullyAcked), while releases keep the paper's
+// availability story (AllAcked, unsettled only).
 //
-// Entries are stored by value and both maps keep their buckets across
-// deletes, Settle and Refit, so a tracker at its high-water mark ledgers
-// writes without allocating.
+// Entries are kept by pointer and recycled, and the map keeps its buckets
+// across deletes, so a ledger at its high-water mark records writes without
+// allocating. Recycling is safe because the transport copies every payload
+// it is handed, so no message in flight views a recycled entry's Val.
 type Tracker struct {
-	pending map[uint64]PendingWrite
-	// settled holds writes whose DM-set a slow release has published; their
-	// broadcasts keep retransmitting until every replica acks. Bounded by
-	// write throughput during a replica outage (entries drain in one burst
-	// when the straggler wakes and acks).
-	settled map[uint64]PendingWrite
-	full    uint16 // all-nodes bitmask
+	writes  map[uint64]*Write // by op id
+	pending int               // writes not settled
+	free    []*Write          // recycled entries
+	full    uint16            // installed member mask
 	quorum  int
 }
+
+// maxFree bounds a ledger's recycled entries. Steady state needs about
+// MaxPendingWrites; the surplus an outage's settled writes leave behind when
+// they drain is left to the GC.
+const maxFree = 1024
 
 // NewTracker creates a tracker for a deployment of n nodes (ids 0..n-1).
 func NewTracker(n int) *Tracker {
@@ -80,87 +94,115 @@ func NewTracker(n int) *Tracker {
 // contiguous after a replica removal).
 func NewTrackerMask(full uint16) *Tracker {
 	return &Tracker{
-		pending: make(map[uint64]PendingWrite, 16),
-		settled: make(map[uint64]PendingWrite),
-		full:    full,
-		quorum:  bits.OnesCount16(full)/2 + 1,
+		writes: make(map[uint64]*Write, 16),
+		full:   full,
+		quorum: bits.OnesCount16(full)/2 + 1,
 	}
 }
 
-// Refit retargets the tracker at a new member set after a configuration
-// epoch install. Writes already acked by every CURRENT member complete
-// immediately (their ids are returned so the owner can retire the
-// retransmitting ops — the case that matters is a removed replica whose
-// missing ack would otherwise gate releases and flushes forever); writes
-// still short of the new full set keep retransmitting, now also toward any
-// added member. Acks recorded from removed members are kept — harmless,
-// since completion tests intersect with the current mask.
-func (t *Tracker) Refit(full uint16) (completed []uint64) {
+// Add ledgers write opID to key, acked so far by its origin self alone (the
+// local apply), and returns its entry.
+func (t *Tracker) Add(opID, key uint64, self uint8) *Write {
+	var e *Write
+	if n := len(t.free); n > 0 {
+		e, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		e = new(Write)
+	}
+	e.Msg = proto.Message{Kind: proto.KindESWrite, From: self, Key: key, OpID: opID}
+	e.RetryAt, e.acked, e.settled = time.Time{}, 1<<self, false
+	t.writes[opID] = e
+	t.pending++
+	return e
+}
+
+// Ack records node from acking write opID. Once every installed member has
+// acked, the write leaves the ledger and Ack returns it, readable until the
+// next Add recycles it; otherwise — the write still short, or not in the
+// ledger at all — Ack returns nil.
+func (t *Tracker) Ack(opID uint64, from uint8) *Write {
+	e := t.writes[opID]
+	if e == nil {
+		return nil
+	}
+	e.acked |= 1 << from
+	// Superset test, not a count: an ack from outside the mask (a member
+	// added by a configuration the ledger is not refit to yet) must never
+	// stand in for a member inside it, and after a removal the entry may
+	// hold acks from members that are gone.
+	if e.acked&t.full != t.full {
+		return nil
+	}
+	t.remove(e)
+	return e
+}
+
+func (t *Tracker) remove(e *Write) {
+	delete(t.writes, e.Msg.OpID)
+	if !e.settled {
+		t.pending--
+	}
+	if len(t.free) < maxFree {
+		t.free = append(t.free, e)
+	}
+}
+
+// Refit retargets the ledger at a new member mask after a configuration
+// install. Writes acked by every CURRENT member leave the ledger and are
+// returned, readable until the next Add, so the owner can validate them —
+// the case that matters is a removed replica whose missing ack would
+// otherwise gate releases and flushes forever. Writes still short of the
+// new mask stay, now also missing any added member. Acks recorded from
+// removed members are kept — harmless, since completion intersects with the
+// mask.
+func (t *Tracker) Refit(full uint16) (completed []*Write) {
 	t.full = full
 	t.quorum = bits.OnesCount16(full)/2 + 1
-	for _, set := range [2]map[uint64]PendingWrite{t.pending, t.settled} {
-		for id, pw := range set {
-			if pw.Acked&full == full {
-				delete(set, id)
-				completed = append(completed, id)
-			}
+	for _, e := range t.writes {
+		if e.acked&full == full {
+			t.remove(e)
+			completed = append(completed, e)
 		}
 	}
 	return completed
 }
 
-// Add registers a new write. selfAcked is the origin's own node bit, acked
-// implicitly by the local apply.
-func (t *Tracker) Add(opID, key uint64, self uint8) {
-	t.pending[opID] = PendingWrite{OpID: opID, Key: key, Acked: 1 << self}
-}
-
-// Ack records node `from` acking write opID (pending or settled). It
-// reports whether the write is tracked at all and whether it is now fully
-// acked, in which case it has been removed from the tracker.
-func (t *Tracker) Ack(opID uint64, from uint8) (known, done bool) {
-	set := t.pending
-	pw, ok := set[opID]
-	if !ok {
-		set = t.settled
-		if pw, ok = set[opID]; !ok {
-			return false, false
+// All yields every write in the ledger, settled or not.
+func (t *Tracker) All() iter.Seq[*Write] {
+	return func(yield func(*Write) bool) {
+		for _, e := range t.writes {
+			if !yield(e) {
+				return
+			}
 		}
 	}
-	pw.Acked |= 1 << from
-	// Superset test, not equality: after a reconfiguration the entry may
-	// hold acks from since-removed members, and after an add the mask can
-	// grow mid-write.
-	if pw.Acked&t.full == t.full {
-		delete(set, opID)
-		return true, true
-	}
-	set[opID] = pw
-	return true, false
 }
+
+// Missing returns the members that have not acked e: its resend targets.
+func (t *Tracker) Missing(e *Write) uint16 { return t.full &^ e.acked }
 
 // Len reports how many unsettled writes still await full acknowledgement
 // (the release barrier's and flow control's working set; settled writes no
 // longer gate either).
-func (t *Tracker) Len() int { return len(t.pending) }
+func (t *Tracker) Len() int { return t.pending }
 
 // AllAcked reports whether every unsettled write has been acked by all
 // nodes — the fast-path release condition. Settled writes are excluded:
 // their DM-set is already published, which is all an in-group release
 // needs.
-func (t *Tracker) AllAcked() bool { return len(t.pending) == 0 }
+func (t *Tracker) AllAcked() bool { return t.pending == 0 }
 
 // FullyAcked reports whether every write of the session — settled or not —
 // has been acked by all nodes: the OpFlush condition. Unlike AllAcked it
 // does not credit published DM-sets, because the fence exists for
 // consumers that will never observe them (§DESIGN "Sharding").
-func (t *Tracker) FullyAcked() bool { return len(t.pending) == 0 && len(t.settled) == 0 }
+func (t *Tracker) FullyAcked() bool { return len(t.writes) == 0 }
 
-// QuorumAcked reports whether every tracked write has been acked by at
+// QuorumAcked reports whether every unsettled write has been acked by at
 // least a quorum — invariant (1) of the slow-path release (§4.2).
 func (t *Tracker) QuorumAcked() bool {
-	for _, pw := range t.pending {
-		if bits.OnesCount16(pw.Acked&t.full) < t.quorum {
+	for _, e := range t.writes {
+		if !e.settled && bits.OnesCount16(e.acked&t.full) < t.quorum {
 			return false
 		}
 	}
@@ -168,36 +210,25 @@ func (t *Tracker) QuorumAcked() bool {
 }
 
 // DMSet returns the delinquent machines bitmask: every node that has failed
-// to ack at least one tracked write.
+// to ack at least one unsettled write.
 func (t *Tracker) DMSet() uint16 {
 	var dm uint16
-	for _, pw := range t.pending {
-		dm |= t.full &^ pw.Acked
+	for _, e := range t.writes {
+		if !e.settled {
+			dm |= t.Missing(e)
+		}
 	}
 	return dm
 }
 
-// Unacked returns, for write opID (pending or settled), the bitmask of
-// nodes that have not acked it yet (used to retransmit to stragglers only).
-func (t *Tracker) Unacked(opID uint64) uint16 {
-	if pw, ok := t.pending[opID]; ok {
-		return t.full &^ pw.Acked
-	}
-	if pw, ok := t.settled[opID]; ok {
-		return t.full &^ pw.Acked
-	}
-	return 0
-}
-
-// Settle moves every pending write to the settled set: called once a
-// slow-release has published the DM-set to a quorum, after which the
-// writes are covered by this group's barrier invariant (AllAcked) — but
-// they keep retransmitting and keep gating FullyAcked until every replica
-// truly acks, because a published DM-set repairs only consumers that
-// acquire in this group.
+// Settle marks every write settled: called once a slow release has
+// published the DM-set to a quorum, after which the writes are covered by
+// this group's barrier invariant (AllAcked) — but they keep retransmitting
+// and keep gating FullyAcked until every replica truly acks, because a
+// published DM-set repairs only consumers that acquire in this group.
 func (t *Tracker) Settle() {
-	for id, pw := range t.pending {
-		t.settled[id] = pw
+	for _, e := range t.writes {
+		e.settled = true
 	}
-	clear(t.pending)
+	t.pending = 0
 }

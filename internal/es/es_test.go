@@ -56,7 +56,7 @@ func TestTrackerFastPath(t *testing.T) {
 	if tr.AllAcked() {
 		t.Fatal("3/5 acks treated as all")
 	}
-	if known, done := tr.Ack(2, 4); !done || !known {
+	if e := tr.Ack(2, 4); e == nil || e.Msg.OpID != 2 || e.Msg.Key != 101 {
 		t.Fatal("final ack not detected")
 	}
 	if !tr.AllAcked() {
@@ -72,14 +72,14 @@ func TestTrackerDuplicateAndUnknownAcks(t *testing.T) {
 	if tr.AllAcked() {
 		t.Fatal("duplicate ack completed the write")
 	}
-	if known, done := tr.Ack(99, 1); known || done {
+	if tr.Ack(99, 1) != nil || tr.writes[99] != nil {
 		t.Fatal("unknown op acked")
 	}
 	tr.Ack(1, 2)
 	if !tr.AllAcked() {
 		t.Fatal("write not settled")
 	}
-	if known, done := tr.Ack(1, 2); known || done {
+	if tr.Ack(1, 2) != nil || tr.writes[1] != nil {
 		t.Fatal("ack after settle returned state")
 	}
 }
@@ -105,11 +105,11 @@ func TestTrackerQuorumAndDMSet(t *testing.T) {
 	if dm := tr.DMSet(); dm != 0b11110 {
 		t.Fatalf("DMSet = %05b, want 11110", dm)
 	}
-	if un := tr.Unacked(1); un != 0b11000 {
-		t.Fatalf("Unacked(1) = %05b", un)
+	if un := tr.Missing(tr.writes[1]); un != 0b11000 {
+		t.Fatalf("Missing(1) = %05b", un)
 	}
-	if un := tr.Unacked(42); un != 0 {
-		t.Fatalf("Unacked(unknown) = %05b", un)
+	if tr.writes[42] != nil {
+		t.Fatal("unknown write has an entry")
 	}
 }
 
@@ -120,15 +120,15 @@ func TestTrackerSettle(t *testing.T) {
 	tr.Settle()
 	// Settled writes satisfy the release barrier (AllAcked) but keep
 	// gating the cross-shard fence (FullyAcked) and keep retransmitting
-	// (Unacked) until every replica acks.
+	// (their missing set) until every replica acks.
 	if !tr.AllAcked() || tr.Len() != 0 {
 		t.Fatal("tracker not barrier-clean after settle")
 	}
 	if tr.FullyAcked() {
 		t.Fatal("settled writes must still gate FullyAcked")
 	}
-	if un := tr.Unacked(5); un != 0b110 {
-		t.Fatalf("Unacked(settled) = %03b, want 110", un)
+	if un := tr.Missing(tr.writes[5]); un != 0b110 {
+		t.Fatalf("Missing(settled) = %03b, want 110", un)
 	}
 	// Tracker remains usable.
 	tr.Add(7, 102, 1)
@@ -162,14 +162,14 @@ func TestTrackerRefit(t *testing.T) {
 	// Removing node 3 completes write 1 (acked by all of {0,1,2}) but not
 	// write 2 (still missing node 2).
 	done := tr.Refit(0b0111)
-	if len(done) != 1 || done[0] != 1 {
-		t.Fatalf("Refit completed %v, want [1]", done)
+	if len(done) != 1 || done[0].Msg.OpID != 1 || done[0].Msg.Key != 10 {
+		t.Fatalf("Refit completed %v, want write 1", done)
 	}
-	if tr.AllAcked() || tr.Unacked(2) != 0b0100 {
-		t.Fatalf("write 2 should still await node 2 (unacked %b)", tr.Unacked(2))
+	if tr.AllAcked() || tr.Missing(tr.writes[2]) != 0b0100 {
+		t.Fatalf("write 2 should still await node 2 (missing %b)", tr.Missing(tr.writes[2]))
 	}
 	// Node 2's remaining ack completes write 2 under the shrunk set.
-	if _, full := tr.Ack(2, 2); !full {
+	if tr.Ack(2, 2) == nil {
 		t.Fatal("write 2 should complete once node 2 acked")
 	}
 	// Growing the set mid-write: the old members' acks no longer suffice
@@ -177,15 +177,34 @@ func TestTrackerRefit(t *testing.T) {
 	tr.Add(3, 30, 0)
 	tr.Refit(0b10111)
 	tr.Ack(3, 1)
-	if _, full := tr.Ack(3, 2); full {
+	if tr.Ack(3, 2) != nil {
 		t.Fatal("write 3 completed without the joiner's ack")
 	}
-	if _, full := tr.Ack(3, 4); !full {
+	if tr.Ack(3, 4) == nil {
 		t.Fatal("write 3 should complete once every member of the grown set acked")
 	}
 	// A stale ack from a removed member is harmless.
 	tr.Refit(0b0111)
-	if known, _ := tr.Ack(99, 3); known {
+	if tr.Ack(99, 3) != nil || tr.writes[99] != nil {
 		t.Fatal("unknown write acked")
+	}
+}
+
+// TestTrackerAckOutsideMaskNeverCompletes pins the superset rule: an ack
+// from a node outside the installed mask — a member added by a
+// configuration the ledger is not refit to yet — must not stand in for a
+// member inside it, as a count of acks against the member count would.
+func TestTrackerAckOutsideMaskNeverCompletes(t *testing.T) {
+	tr := NewTracker(3)
+	tr.Add(1, 10, 0)
+	tr.Ack(1, 3) // outside {0,1,2}
+	if tr.Ack(1, 1) != nil || tr.FullyAcked() {
+		t.Fatal("acks from {0,1,3} completed a write node 2 has not acked")
+	}
+	if un := tr.Missing(tr.writes[1]); un != 0b100 {
+		t.Fatalf("Missing = %03b, want 100", un)
+	}
+	if tr.Ack(1, 2) == nil {
+		t.Fatal("node 2's ack should complete the write")
 	}
 }

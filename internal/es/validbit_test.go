@@ -105,7 +105,7 @@ func (fs *fuzzState) deliverAck(pick int) {
 	wi, from := fs.pendAck[i][0], fs.pendAck[i][1]
 	fs.pendAck = append(fs.pendAck[:i], fs.pendAck[i+1:]...)
 	w := fs.writes[wi]
-	if _, done := fs.tr.Ack(w.opID, uint8(from)); done {
+	if fs.tr.Ack(w.opID, uint8(from)) != nil {
 		// Full ack: the origin queues a validate for every replica (its own
 		// store included, via the loopback flush).
 		fs.fullyAcked[w.st.Pack()] = true

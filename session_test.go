@@ -68,8 +68,8 @@ func asyncAllocsPerOp(t *testing.T, s Session, op Op, base uint64, rounds, windo
 
 // TestZeroAllocRelaxedWrite pins the relaxed-write path at zero allocations
 // per op, end to end: the pooled request, the local apply, the recycled
-// esWriteOp and its ledger entry, the in-proc hop with its payload copy,
-// the remote applies and acks, and the validate broadcast.
+// ledger entry holding the write's broadcast, the in-proc hop with its
+// payload copy, the remote applies and acks, and the validate broadcast.
 func TestZeroAllocRelaxedWrite(t *testing.T) {
 	c := allocCluster(t)
 	val := []byte("0123456789abcdef0123456789abcdef")
