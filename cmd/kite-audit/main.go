@@ -1,10 +1,11 @@
 // Command kite-audit attaches a standing consistency audit to a live Kite
 // deployment. It dials the deployment through the public client, leases
-// prober sessions wrapped in the internal/audit sampling recorder, drives a
-// verification-friendly workload over a dedicated key range, and streams
-// the sampled invoke/complete records through the incremental RC /
-// k-atomicity checker while the deployment serves — reporting violations
-// with their minimal counterexample windows, plus coverage counters.
+// prober sessions recorded into the internal/audit auditor, drives the
+// chaos runner's verified workload (internal/chaos Prober) over a
+// dedicated key range, and streams the sampled invoke/complete records
+// through the incremental RC / k-atomicity checker while the deployment
+// serves — reporting violations with their minimal counterexample
+// windows, plus coverage counters.
 //
 // The audit is sound by subsetting: it samples, so it can miss violations,
 // but everything it reports is witnessed entirely by operations that really
@@ -18,8 +19,10 @@
 //	kite-audit -addrs ... -sample-keys 0.25 -budget 65536
 //	kite-audit -selftest                                 # injected-violation drill
 //
-// The prober writes only to keys at -key-base and above; point it at a
-// range the deployment does not use for real data.
+// The prober uses only keys in [-key-base, -key-base+8000+pairs) (payload
+// keys at -key-base + pair*16 + k, the FAA counter and CAS chain at +7000
+// and +7001, release flags at +8000 + pair); point it at a range the
+// deployment does not use for real data.
 //
 // Exit status: 0 — audited clean; 1 — consistency violations reported;
 // 2 — the audit itself failed (dial error, no coverage).
@@ -32,21 +35,20 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"kite"
 	"kite/client"
 	"kite/internal/audit"
+	"kite/internal/chaos"
 )
 
 func main() {
 	var (
 		addrs    = flag.String("addrs", "", "comma-separated client addresses, one node per replica group (required unless -selftest)")
 		duration = flag.Duration("duration", 60*time.Second, "how long to audit; 0 means until SIGINT/SIGTERM")
-		pairs    = flag.Int("pairs", 2, "producer/consumer prober pairs")
+		pairs    = flag.Int("pairs", 1, "producer/consumer prober pairs (the prober leases 2*pairs+5 sessions on each node)")
 		keyBase  = flag.Uint64("key-base", 900000, "first key of the prober's dedicated range")
 		sampleK  = flag.Float64("sample-keys", 1, "per-key sampling rate in (0,1]")
 		sampleS  = flag.Float64("sample-sessions", 1, "per-session sampling rate in (0,1]")
@@ -74,6 +76,9 @@ func main() {
 	if *addrs == "" {
 		fatalf("-addrs is required (or -selftest)")
 	}
+	if *pairs < 0 || *pairs > chaos.MaxPairs {
+		fatalf("-pairs %d outside [0,%d]", *pairs, chaos.MaxPairs)
+	}
 
 	sc, err := client.DialSharded(strings.Split(*addrs, ","), client.Options{})
 	if err != nil {
@@ -86,15 +91,38 @@ func main() {
 		Grace: *grace, MaxEvents: *budget, Interval: *interval, Seed: *seed,
 	})
 
-	p := &prober{sc: sc, a: a, base: *keyBase, nonce: time.Now().UnixNano()}
-	for i := 0; i < *pairs; i++ {
-		i := i
-		p.go_(func() { p.producer(i) })
-		p.go_(func() { p.consumer(i) })
+	// Chaos's verified workload, without burst load: every session is
+	// recorded through the auditor, and the run nonce keeps written values
+	// unique per key across audits of the same deployment (values from
+	// earlier runs resolve as census misses, which the partial-mode checker
+	// skips).
+	p := &chaos.Prober{
+		Record: a.Wrap,
+		Base:   *keyBase, Pairs: *pairs, Nonce: time.Now().UnixNano(),
 	}
-	p.go_(func() { p.faa() })
-	p.go_(func() { p.faa() })
-	p.go_(func() { p.cas() })
+	// Lease every worker's first session up front: a node without enough
+	// free sessions fails the audit here instead of starving a worker for
+	// the whole run. Later leases (after errors) go to the client.
+	first := make([]kite.Session, p.Workers())
+	for i := range first {
+		s, err := sc.NewSession()
+		if err != nil {
+			for _, s := range first[:i] {
+				s.Close()
+			}
+			fatalf("lease prober session %d of %d: %v (every node needs %d free sessions: lower -pairs, or give the nodes more -workers)",
+				i+1, len(first), err, len(first))
+		}
+		first[i] = s
+	}
+	p.Session = func(slot int) (kite.Session, error) {
+		if s := first[slot]; s != nil {
+			first[slot] = nil
+			return s, nil
+		}
+		return sc.NewSession()
+	}
+	p.Start()
 
 	fmt.Fprintf(os.Stderr, "kite-audit: auditing %s (pairs=%d keys@%d sample=%g/%g budget=%d k=%d)\n",
 		*addrs, *pairs, *keyBase, *sampleK, *sampleS, *budget, *k)
@@ -124,14 +152,14 @@ loop:
 		}
 	}
 
-	p.halt()
+	p.Halt()
 	a.Close()
 	sum := a.Summary()
 	writeSummary(*jsonPath, sum)
 
 	st := sum.Stats
 	fmt.Fprintf(os.Stderr, "kite-audit: done: sampled=%d skipped=%d judged=%d reads=%d dropped=%d evicted=%d prober-errors=%d\n",
-		st.SampledOps, st.SkippedOps, st.JudgedEvents, st.CheckedReads, st.DroppedEvents, st.Evictions, p.errs.Load())
+		st.SampledOps, st.SkippedOps, st.JudgedEvents, st.CheckedReads, st.DroppedEvents, st.Evictions, p.Errors())
 	fmt.Fprintln(os.Stderr, sum.Report.String())
 	switch {
 	case !sum.Report.OK():
@@ -142,143 +170,6 @@ loop:
 		os.Exit(2)
 	}
 	fmt.Fprintln(os.Stderr, "kite-audit: PASSED")
-}
-
-// prober drives the verification-friendly workload: producer/consumer
-// pairs over release/acquire flags with relaxed payloads, two contending
-// FAA workers, and a CAS chain — the same shape the chaos workload uses,
-// on a dedicated key range. All written values embed a run nonce so they
-// are unique per key (the checker's census assumption); values from
-// earlier runs resolve as census misses, which the partial-mode checker
-// skips.
-type prober struct {
-	sc    *client.ShardedClient
-	a     *audit.Auditor
-	base  uint64
-	nonce int64
-
-	errs atomic.Uint64
-	stop atomic.Bool
-	wg   sync.WaitGroup
-}
-
-const (
-	probePayloadKeys = 4
-	probeFlagOff     = 1000
-	probeFAAOff      = 2000
-	probeCASOff      = 2001
-)
-
-func (p *prober) go_(fn func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		fn()
-	}()
-}
-
-func (p *prober) halt() {
-	p.stop.Store(true)
-	p.wg.Wait()
-}
-
-// lease opens an audited session, retrying while the deployment is
-// unreachable.
-func (p *prober) lease() kite.Session {
-	for !p.stop.Load() {
-		s, err := p.sc.NewSession()
-		if err == nil {
-			return p.a.Wrap(s)
-		}
-		p.errs.Add(1)
-		time.Sleep(250 * time.Millisecond)
-	}
-	return nil
-}
-
-func (p *prober) release(s kite.Session) kite.Session {
-	if s != nil {
-		s.Close()
-	}
-	p.errs.Add(1)
-	time.Sleep(100 * time.Millisecond)
-	return p.lease()
-}
-
-func (p *prober) producer(i int) {
-	s := p.lease()
-	for r := 1; s != nil && !p.stop.Load(); r++ {
-		ok := true
-		for j := 0; j < probePayloadKeys; j++ {
-			val := []byte(fmt.Sprintf("n%dp%dr%dk%d", p.nonce, i, r, j))
-			if err := s.Write(p.base+uint64(i*16+j), val); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			flag := []byte(fmt.Sprintf("n%dp%dr%d", p.nonce, i, r))
-			if err := s.ReleaseWrite(p.base+probeFlagOff+uint64(i), flag); err != nil {
-				ok = false
-			}
-		}
-		if !ok {
-			s = p.release(s)
-			continue
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func (p *prober) consumer(i int) {
-	s := p.lease()
-	for s != nil && !p.stop.Load() {
-		if _, err := s.AcquireRead(p.base + probeFlagOff + uint64(i)); err != nil {
-			s = p.release(s)
-			continue
-		}
-		bad := false
-		for j := 0; j < probePayloadKeys; j++ {
-			if _, err := s.Read(p.base + uint64(i*16+j)); err != nil {
-				bad = true
-				break
-			}
-		}
-		if bad {
-			s = p.release(s)
-			continue
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func (p *prober) faa() {
-	s := p.lease()
-	for s != nil && !p.stop.Load() {
-		if _, err := s.FAA(p.base+probeFAAOff, 1); err != nil {
-			s = p.release(s)
-			continue
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func (p *prober) cas() {
-	s := p.lease()
-	var expected []byte
-	for i := 0; s != nil && !p.stop.Load(); i++ {
-		next := []byte(fmt.Sprintf("n%dc%d", p.nonce, i))
-		swapped, old, err := s.CompareAndSwap(p.base+probeCASOff, expected, next, false)
-		switch {
-		case err != nil:
-			s = p.release(s)
-		case swapped:
-			expected = next
-		default:
-			expected = old
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 func writeSummary(path string, sum *audit.Summary) {

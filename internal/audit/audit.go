@@ -97,8 +97,7 @@ type Summary struct {
 // with New, wrap live sessions with Wrap/WrapRate, read Report/Stats at
 // any time, Close when done (Close drains and seals everything).
 type Auditor struct {
-	cfg  Config
-	base time.Time
+	cfg Config
 
 	ch   chan streamMsg
 	stop chan struct{}
@@ -120,10 +119,17 @@ type streamMsg struct {
 
 // New starts an auditor and its pump goroutine.
 func New(cfg Config) *Auditor {
+	a := newAuditor(cfg)
+	a.wg.Add(1)
+	go a.pump()
+	return a
+}
+
+// newAuditor builds an auditor without its pump; tests read the stream.
+func newAuditor(cfg Config) *Auditor {
 	cfg.defaults()
-	a := &Auditor{
+	return &Auditor{
 		cfg:  cfg,
-		base: time.Now(),
 		ch:   make(chan streamMsg, cfg.Buffer),
 		stop: make(chan struct{}),
 		ck: verifier.NewChecker(verifier.CheckerConfig{
@@ -133,12 +139,7 @@ func New(cfg Config) *Auditor {
 			DeferBound: int64(4 * cfg.Grace),
 		}),
 	}
-	a.wg.Add(1)
-	go a.pump()
-	return a
 }
-
-func (a *Auditor) now() int64 { return int64(time.Since(a.base)) }
 
 // keySampled is the deterministic per-key coin: a salted splitmix64 hash
 // mapped to [0,1) against KeyRate. Every wrapped session agrees on it.
@@ -160,9 +161,10 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Wrap returns a sampling recorder around inner at the configured
-// SessionRate. The wrapper carries inner's single-logical-thread contract
-// and is transparent when the session's coin came up unsampled.
+// Wrap returns a recording session around inner that feeds this auditor
+// alone, at the configured SessionRate. The wrapper carries inner's
+// single-logical-thread contract and records nothing when the session's
+// coin came up unsampled.
 func (a *Auditor) Wrap(inner kite.Session) kite.Session {
 	return a.WrapRate(inner, a.cfg.SessionRate)
 }
@@ -170,14 +172,19 @@ func (a *Auditor) Wrap(inner kite.Session) kite.Session {
 // WrapRate is Wrap with a per-session-class sampling rate: audit 100% of a
 // canary class and 1% of bulk traffic by wrapping them at different rates.
 func (a *Auditor) WrapRate(inner kite.Session, rate float64) kite.Session {
+	return history.Record(inner, a.Sink(rate))
+}
+
+// Sink registers a fresh recording session sampled at rate and returns the
+// sink that streams its sampled ops — for a history.Record that also feeds
+// other sinks (the chaos runner records into a history.Log alongside).
+func (a *Auditor) Sink(rate float64) history.Sink {
 	a.mu.Lock()
 	id := a.nsess
 	a.nsess++
 	a.mu.Unlock()
 	sampled := rate >= 1 || coin(mix(uint64(id)^uint64(a.cfg.Seed)^0x2545f4914f6cdd1d)) < rate
-	r := &recSession{inner: inner, a: a, id: int(id), sampled: sampled}
-	r.Ops = kite.Ops{Doer: r}
-	return r
+	return &sink{a: a, id: int(id), sampled: sampled}
 }
 
 // pump is the single consumer: it feeds the checker and seals a trailing
@@ -193,7 +200,7 @@ func (a *Auditor) pump() {
 			a.feed(m)
 		case <-t.C:
 			a.mu.Lock()
-			a.ck.Seal(a.now() - int64(a.cfg.Grace))
+			a.ck.Seal(history.Now() - int64(a.cfg.Grace))
 			a.mu.Unlock()
 		case <-a.stop:
 			for {

@@ -1,11 +1,14 @@
 package audit
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"kite"
+	"kite/internal/history"
 )
 
 // TestSelfTest: the injected-violation drill must catch both staged
@@ -162,3 +165,162 @@ func TestAuditorUnsampledSessionTransparent(t *testing.T) {
 		t.Fatalf("near-zero session rate recorded %d ops", st.SampledOps)
 	}
 }
+
+// TestOneRecorderTwoSinks wraps one session with both sinks — the offline
+// history.Log and the auditor — and checks that every sampled op reaches
+// both as the same event, field for field, invoke and complete instants
+// included. The script covers a rejected DoBatch and a DoAsync that
+// completes after a later Do (the auditor must still release its
+// completions in index order).
+func TestOneRecorderTwoSinks(t *testing.T) {
+	log := history.New()
+	a := newAuditor(Config{}) // no pump: the test reads the stream
+	inner := newHeld()
+	s := history.Record(inner, log.Sink(), a.Sink(1))
+
+	if err := s.Write(1, []byte("w1")); err != nil {
+		t.Fatal(err)
+	}
+	asyncDone := make(chan kite.Result, 1)
+	s.DoAsync(kite.WriteOp(2, []byte("async")), func(r kite.Result) { asyncDone <- r })
+	if _, err := s.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DoBatch(context.Background(), []kite.Op{
+		kite.WriteOp(3, []byte("b0")), kite.WriteOp(4, make([]byte, kite.MaxValueLen+1)),
+	}); err == nil {
+		t.Fatal("batch with an oversized value accepted")
+	}
+	if _, err := s.FAA(5, 2); err != nil {
+		t.Fatal(err)
+	}
+	inner.fire() // the DoAsync completes after the later ops
+	<-asyncDone
+	if _, err := s.DoBatch(context.Background(), []kite.Op{kite.WriteOp(6, []byte("b1")), kite.ReadOp(6)}); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := log.Snapshot()
+	if len(rec.Events) != 8 {
+		t.Fatalf("log recorded %d events, want 8", len(rec.Events))
+	}
+	if async, read := rec.Events[1], rec.Events[2]; async.Complete <= read.Complete {
+		t.Fatalf("script broken: async completed at %d, not after the later read at %d", async.Complete, read.Complete)
+	}
+	for _, i := range []int{3, 4} {
+		if e := rec.Events[i]; e.Outcome != history.OutcomeNever || e.Batch < 0 {
+			t.Fatalf("rejected batch op recorded as %+v", e)
+		}
+	}
+
+	var done []history.Event
+	for len(a.ch) > 0 {
+		if m := <-a.ch; !m.invoke {
+			done = append(done, m.e)
+		}
+	}
+	if len(done) != len(rec.Events) {
+		t.Fatalf("auditor saw %d completions, log %d events", len(done), len(rec.Events))
+	}
+	for i, e := range done {
+		if e.Index != i {
+			t.Fatalf("auditor completion %d carries index %d: released out of order", i, e.Index)
+		}
+		if !reflect.DeepEqual(e, rec.Events[i]) {
+			t.Fatalf("op %d differs between sinks:\nlog:     %+v\nauditor: %+v", i, rec.Events[i], e)
+		}
+	}
+}
+
+// heldSession completes Do and DoBatch at once and holds every DoAsync
+// callback until fire. DoBatch rejects a batch holding an oversized value
+// whole, as every backend does.
+type heldSession struct {
+	kite.Ops
+	held []func()
+}
+
+func newHeld() *heldSession {
+	s := &heldSession{}
+	s.Ops = kite.Ops{Doer: s}
+	return s
+}
+
+func (s *heldSession) Do(ctx context.Context, op kite.Op) (kite.Result, error) {
+	if op.Code == kite.OpRead {
+		return kite.Result{Value: []byte("w1")}, nil
+	}
+	return kite.Result{}, nil
+}
+
+func (s *heldSession) DoAsync(op kite.Op, cb func(kite.Result)) {
+	s.held = append(s.held, func() { cb(kite.Result{}) })
+}
+
+func (s *heldSession) fire() {
+	for _, f := range s.held {
+		f()
+	}
+	s.held = nil
+}
+
+func (s *heldSession) DoBatch(ctx context.Context, ops []kite.Op) ([]kite.Result, error) {
+	out := make([]kite.Result, len(ops))
+	for i, op := range ops {
+		if len(op.Value) > kite.MaxValueLen {
+			return nil, kite.ErrValueTooLong
+		}
+		out[i], _ = s.Do(ctx, op)
+	}
+	return out, nil
+}
+
+func (s *heldSession) Close() error { return nil }
+
+// TestUnsampledOpsAllocateNothing: an op the auditor does not sample —
+// its session's coin or its key's came up tails — goes straight to the
+// wrapped session, with no event built, no value cloned and nothing
+// allocated on any of the three submission paths.
+func TestUnsampledOpsAllocateNothing(t *testing.T) {
+	a := New(Config{KeyRate: 0.0000001})
+	defer a.Close()
+	inner := &nopSession{batch: make([]kite.Result, 4)}
+	inner.Ops = kite.Ops{Doer: inner}
+	ctx := context.Background()
+	ops := []kite.Op{kite.WriteOp(1, []byte("v")), kite.ReadOp(2), kite.WriteOp(3, []byte("v")), kite.ReadOp(4)}
+	for name, s := range map[string]kite.Session{
+		"unsampled session": a.WrapRate(inner, 0.0000001),
+		"unsampled keys":    a.WrapRate(inner, 1),
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			s.Do(ctx, ops[0])
+			s.DoAsync(ops[1], nil)
+			s.DoBatch(ctx, ops)
+		}); n != 0 {
+			t.Errorf("%s: %.1f allocations per Do+DoAsync+DoBatch, want 0", name, n)
+		}
+	}
+	if st := a.Stats(); st.SampledOps != 0 || st.SkippedOps == 0 {
+		t.Fatalf("sampled %d, skipped %d: want only skips", st.SampledOps, st.SkippedOps)
+	}
+}
+
+// nopSession completes every op at once without allocating.
+type nopSession struct {
+	kite.Ops
+	batch []kite.Result
+}
+
+func (s *nopSession) Do(context.Context, kite.Op) (kite.Result, error) { return kite.Result{}, nil }
+
+func (s *nopSession) DoAsync(op kite.Op, cb func(kite.Result)) {
+	if cb != nil {
+		cb(kite.Result{})
+	}
+}
+
+func (s *nopSession) DoBatch(context.Context, []kite.Op) ([]kite.Result, error) {
+	return s.batch, nil
+}
+
+func (s *nopSession) Close() error { return nil }

@@ -8,7 +8,7 @@ import (
 )
 
 // SelfTest drives a deliberately inconsistent history through the complete
-// audit pipeline — sampling recorder, stream, pump, incremental checker —
+// audit pipeline — recorder, sampling sink, stream, pump, incremental checker —
 // using scripted sessions whose results are staged lies: an acquire that
 // returns a release one wholly-completed release stale, and two FAAs that
 // both observe the same old value. A healthy pipeline reports exactly

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kite"
+	"kite/internal/history"
 	"kite/internal/testcluster"
 )
 
@@ -86,6 +87,16 @@ func TestGenerateGuarantees(t *testing.T) {
 	}
 }
 
+// run is Run with the leg's judged-op counts in the test log. Every leg
+// runs in parallel with the others: the workload is latency-bound, so
+// concurrent legs judge about as many ops as serial ones.
+func run(t *testing.T, tg Target, cfg Config) (*Report, *history.Recorded) {
+	rep, rec := Run(tg, cfg)
+	t.Logf("%s seed %d: judged %d ops (%d ok, %d maybe, %d never)",
+		rep.Backend, rep.Seed, rep.Ops.Total, rep.Ops.OK, rep.Ops.Maybe, rep.Ops.Never)
+	return rep, rec
+}
+
 func chaosConfig(t *testing.T) Config {
 	d := 8 * time.Second
 	if testing.Short() {
@@ -107,7 +118,8 @@ func deploy(t *testing.T, b testcluster.Backend, sessions int, walDir string) *t
 // runAllKinds is a full seeded run against b — every nemesis kind injected,
 // history verified, evidence ledger non-trivial.
 func runAllKinds(t *testing.T, b testcluster.Backend, sessions int) {
-	rep, rec := Run(deploy(t, b, sessions, ""), chaosConfig(t))
+	t.Parallel()
+	rep, rec := run(t, deploy(t, b, sessions, ""), chaosConfig(t))
 	if !rep.Passed {
 		t.Fatalf("%s chaos run failed: errors=%v verifier:\n%s", b, rep.Errors, rep.Verifier.String())
 	}
@@ -139,11 +151,12 @@ func TestChaosShardedRemote(t *testing.T) { runAllKinds(t, testcluster.ShardedRe
 // verifier judges the history, and both halves of the fast path must have
 // been exercised.
 func runLocalReads(t *testing.T, b testcluster.Backend, sessions int, seed int64) {
+	t.Parallel()
 	c := deploy(t, b, sessions, "")
 	cfg := chaosConfig(t)
 	cfg.Seed = seed
 	cfg.Kinds = LocalReadsKinds()
-	rep, _ := Run(c, cfg)
+	rep, _ := run(t, c, cfg)
 	if !rep.Passed {
 		t.Fatalf("%s local-reads chaos run failed: errors=%v verifier:\n%s", b, rep.Errors, rep.Verifier.String())
 	}
@@ -166,6 +179,7 @@ func runLocalReads(t *testing.T, b testcluster.Backend, sessions int, seed int64
 // TestChaosLocalReadsInproc runs three seeds in process; the remote and
 // sharded legs run one each.
 func TestChaosLocalReadsInproc(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			runLocalReads(t, testcluster.InProc, 4, seed)
@@ -184,13 +198,15 @@ func TestChaosLocalReadsSharded(t *testing.T) { runLocalReads(t, testcluster.Sha
 // so the verifier judges the recorded workers exactly as in the default run;
 // the burst-op counter proves the load generator actually ran.
 func TestChaosWireBatchingInproc(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := chaosConfig(t)
 			cfg.Seed = seed
 			cfg.Kinds = WireBatchingKinds()
 			cfg.BurstSessions = 3
-			rep, _ := Run(deploy(t, testcluster.InProc, 8, ""), cfg)
+			rep, _ := run(t, deploy(t, testcluster.InProc, 8, ""), cfg)
 			if !rep.Passed {
 				t.Fatalf("wire-batching chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
 			}

@@ -13,7 +13,8 @@ import (
 // own disks with every acknowledged write intact (the verifier checks the
 // recorded history against the replayed stores).
 func TestCrashAllWAL(t *testing.T) {
-	rep, rec := Run(deploy(t, testcluster.InProc, 4, t.TempDir()), Config{
+	t.Parallel()
+	rep, rec := run(t, deploy(t, testcluster.InProc, 4, t.TempDir()), Config{
 		Seed: 7, Duration: 6 * time.Second,
 		Kinds: []NemesisKind{KindCrashAll},
 	})
@@ -35,7 +36,8 @@ func TestCrashAllWAL(t *testing.T) {
 // rejoin sweeps can never complete, and the run reports it. If this test
 // ever starts passing, crash-all stopped certifying durability.
 func TestCrashAllMemoryOnlyFails(t *testing.T) {
-	rep, _ := Run(deploy(t, testcluster.InProc, 4, ""), Config{
+	t.Parallel()
+	rep, _ := run(t, deploy(t, testcluster.InProc, 4, ""), Config{
 		Seed: 7, Duration: 3 * time.Second,
 		Kinds: []NemesisKind{KindCrashAll},
 		// Short: these sweeps are expected to hang forever, and each

@@ -14,10 +14,11 @@ import (
 // certifies both the deployment (no real violations) and the auditor (no
 // invented ones, under real latency, retries and session churn).
 func TestChaosOnlineAuditSharded(t *testing.T) {
+	t.Parallel()
 	cfg := chaosConfig(t)
 	cfg.Kinds = OnlineAuditKinds()
 	cfg.OnlineAudit = true
-	rep, _ := Run(deploy(t, testcluster.ShardedInProc, 4, ""), cfg)
+	rep, _ := run(t, deploy(t, testcluster.ShardedInProc, 4, ""), cfg)
 	if !rep.Passed {
 		t.Fatalf("online-audit chaos run failed: errors=%v verifier:\n%s\naudit:\n%s",
 			rep.Errors, rep.Verifier.String(), rep.Audit.Report.String())
@@ -39,10 +40,11 @@ func TestChaosOnlineAuditSharded(t *testing.T) {
 // TestChaosOnlineAuditInproc is the per-PR CI smoke shape: the same gate on
 // the cheap in-process backend.
 func TestChaosOnlineAuditInproc(t *testing.T) {
+	t.Parallel()
 	cfg := chaosConfig(t)
 	cfg.Kinds = OnlineAuditKinds()
 	cfg.OnlineAudit = true
-	rep, _ := Run(deploy(t, testcluster.InProc, 4, ""), cfg)
+	rep, _ := run(t, deploy(t, testcluster.InProc, 4, ""), cfg)
 	if !rep.Passed {
 		t.Fatalf("online-audit chaos run failed: errors=%v verifier:\n%s", rep.Errors, rep.Verifier.String())
 	}

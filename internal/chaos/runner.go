@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"kite"
 	"kite/internal/audit"
 	"kite/internal/history"
 	"kite/internal/transport"
@@ -48,6 +49,10 @@ type Report struct {
 	Passed bool           `json:"passed"`
 }
 
+// keyBase places the workload's keys (see Prober): the sharded legs' group
+// placement depends on the exact keys.
+const keyBase = 1000
+
 // Run generates the schedule for cfg, executes it against the target while
 // the recording workload runs, heals everything, and verifies the recorded
 // history. The returned history accompanies the report so failures can be
@@ -66,7 +71,20 @@ func Run(tg Target, cfg Config) (*Report, *history.Recorded) {
 	if cfg.OnlineAudit {
 		aud = audit.New(audit.Config{})
 	}
-	wl := startWorkload(tg, log, aud, 2, cfg.BurstSessions)
+	// One recorder per workload session feeds the offline log and, when
+	// auditing, the online auditor: both judges see the same events.
+	nodes := tg.Nodes()
+	wl := &Prober{
+		Session: func(slot int) (kite.Session, error) { return tg.Session(slot%nodes, slot/nodes) },
+		Record: func(s kite.Session) kite.Session {
+			if aud == nil {
+				return log.Wrap(s)
+			}
+			return history.Record(s, log.Sink(), aud.Sink(1))
+		},
+		Base: keyBase, Pairs: 2, Bursts: cfg.BurstSessions, Nonce: cfg.Seed,
+	}
+	wl.Start()
 	faults := tg.Faults()
 	start := time.Now()
 
@@ -178,8 +196,8 @@ func Run(tg Target, cfg Config) (*Report, *history.Recorded) {
 		time.Sleep(d)
 	}
 	time.Sleep(1500 * time.Millisecond)
-	wl.halt()
-	rep.BurstOps = wl.burstOps.Load()
+	wl.Halt()
+	rep.BurstOps = wl.BurstOps()
 
 	rec := log.Snapshot()
 	for i := range rec.Events {

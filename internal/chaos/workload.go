@@ -8,214 +8,219 @@ import (
 	"time"
 
 	"kite"
-	"kite/internal/audit"
-	"kite/internal/history"
 )
 
-// The workload mirrors the repo's conformance shape so the verifier has
-// teeth on every protocol class: producer/consumer pairs exercise the
-// release/acquire contract over relaxed payload writes, FAA workers hammer
-// one counter from two sessions, and a CAS worker advances a unique-value
-// chain. All values are unique per key (the verifier's matching
-// assumption).
+// Prober is the verified workload: the chaos runner drives it under a
+// nemesis schedule, and kite-audit stands it up against a live deployment.
+// It mirrors the repo's conformance shape so the verifier has teeth on
+// every protocol class: producer/consumer pairs exercise the
+// release/acquire contract over relaxed payload writes, scan workers hit
+// the local-acquire fast path, FAA workers hammer one counter from two
+// sessions, and a CAS worker advances a unique-value chain. Every written
+// value carries Nonce, so values are unique per key across runs against
+// one deployment (the verifier's matching assumption, and the one duty
+// Partial-mode auditing puts on its callers).
+//
+// Keys are laid out relative to Base:
+//
+//	Base + pair*16 + k            payload keys (k < 4)
+//	Base + 7000                   the FAA counter
+//	Base + 7001                   the CAS chain
+//	Base + 8000 + pair            release/acquire flags
+//	Base + 11000 + burst*24 + i   burst keys (unrecorded, never read back)
 //
 // Chaos discipline: any error abandons the current round, re-leases the
-// session at the same coordinates and starts a fresh round under a fresh
-// recorded session — so every release's covered writes live in the
-// release's own recorded session, which is exactly the granularity the RC
-// check verifies at.
+// session at the same slot and starts a fresh round under a fresh recorded
+// session — so every release's covered writes live in the release's own
+// recorded session, which is exactly the granularity the RC check
+// verifies at.
+//
+// Set the fields, then Start; Halt stops and joins the workers.
+type Prober struct {
+	// Session leases the session for worker slot (slots number the
+	// workers from 0 in start order). The prober re-leases after errors.
+	Session func(slot int) (kite.Session, error)
+	// Record wraps a recorded worker's session; burst sessions stay raw.
+	Record func(kite.Session) kite.Session
+	// Base is the first key of the range above.
+	Base uint64
+	// Pairs is the number of producer/consumer pairs, at most MaxPairs.
+	Pairs int
+	// Bursts adds that many unrecorded high-fanout relaxed-write sessions
+	// (see (*Prober).burst).
+	Bursts int
+	// Nonce prefixes every written value.
+	Nonce int64
+
+	prefix   string // "n<Nonce>"
+	burstOps atomic.Uint64
+	errs     atomic.Uint64
+	stop     atomic.Bool
+	wg       sync.WaitGroup
+}
+
 const (
-	payloadBase = 1000 // + pair*16 + k
 	payloadKeys = 4
-	flagBase    = 9000 // + pair
-	faaKey      = 8000
-	casKey      = 8001
+	faaOff      = 7000
+	casOff      = 7001
+	flagOff     = 8000
+	burstOff    = 11000
+	burstFanout = 24 // writes per DoBatch round
 
-	// Burst keys live far above every verified key range: burst writes are
-	// unrecorded load (never read back), so they must never collide with a
-	// key the verifier reasons about.
-	burstBase   = 12000 // + burst*burstFanout + i
-	burstFanout = 24    // writes per DoBatch round
+	// MaxPairs keeps the payload keys below the counters.
+	MaxPairs = faaOff / 16
 
-	opTimeout = 5 * time.Second
+	opTimeout  = 5 * time.Second
+	leaseRetry = 50 * time.Millisecond
 )
 
-type workload struct {
-	target Target
-	log    *history.Log
-	// aud, when non-nil, rides the online auditor's sampling recorder on
-	// every recorded session (outermost, so it sees exactly the calls the
-	// offline history sees).
-	aud   *audit.Auditor
-	pairs int
-
-	// burstOps counts completed unrecorded burst writes — the evidence
-	// that the burst load actually ran (it appears in the run report).
-	burstOps atomic.Uint64
-
-	stop atomic.Bool
-	wg   sync.WaitGroup
-}
-
-// startWorkload launches the worker goroutines; call (*workload).halt to
-// stop and join them. bursts adds that many unrecorded high-fanout
-// relaxed-write sessions (see (*workload).burst).
-func startWorkload(tg Target, log *history.Log, aud *audit.Auditor, pairs, bursts int) *workload {
-	w := &workload{target: tg, log: log, aud: aud, pairs: pairs}
+// Start launches the workers.
+func (p *Prober) Start() {
+	p.prefix = fmt.Sprintf("n%d", p.Nonce)
 	slot := 0
-	next := func() (int, int) {
-		node, sess := slot%tg.Nodes(), slot/tg.Nodes()
+	next := func() int {
 		slot++
-		return node, sess
+		return slot - 1
 	}
-	for p := 0; p < pairs; p++ {
-		p := p
-		pn, ps := next()
-		cn, cs := next()
-		w.go_(func() { w.producer(p, pn, ps) })
-		w.go_(func() { w.consumer(p, cn, cs) })
+	for i := 0; i < p.Pairs; i++ {
+		i, ps, cs := i, next(), next()
+		p.go_(func() { p.producer(i, ps) })
+		p.go_(func() { p.consumer(i, cs) })
 	}
 	for i := 0; i < 2; i++ {
-		n, s := next()
-		w.go_(func() { w.faa(n, s) })
+		s := next()
+		p.go_(func() { p.faa(s) })
 	}
-	n, s := next()
-	w.go_(func() { w.cas(n, s) })
-	for i := 0; i < 2; i++ {
-		n, s := next()
-		w.go_(func() { w.scan(n, s) })
+	s := next()
+	p.go_(func() { p.cas(s) })
+	if p.Pairs > 0 {
+		for i := 0; i < 2; i++ {
+			s := next()
+			p.go_(func() { p.scan(s) })
+		}
 	}
-	for b := 0; b < bursts; b++ {
-		b := b
-		n, s := next()
-		w.go_(func() { w.burst(b, n, s) })
+	for b := 0; b < p.Bursts; b++ {
+		b, s := b, next()
+		p.go_(func() { p.burst(b, s) })
 	}
-	return w
 }
 
-func (w *workload) go_(fn func()) {
-	w.wg.Add(1)
+// Workers is the number of workers Start launches, each holding one
+// session lease at a time.
+func (p *Prober) Workers() int {
+	n := 2*p.Pairs + 3 + p.Bursts // pairs, two FAA workers, one CAS
+	if p.Pairs > 0 {
+		n += 2 // the scanners
+	}
+	return n
+}
+
+// Halt stops the workers and waits for them to exit.
+func (p *Prober) Halt() {
+	p.stop.Store(true)
+	p.wg.Wait()
+}
+
+// BurstOps counts completed burst writes — the evidence that the burst
+// load actually ran.
+func (p *Prober) BurstOps() uint64 { return p.burstOps.Load() }
+
+// Errors counts abandoned rounds and failed leases.
+func (p *Prober) Errors() uint64 { return p.errs.Load() }
+
+func (p *Prober) go_(fn func()) {
+	p.wg.Add(1)
 	go func() {
-		defer w.wg.Done()
+		defer p.wg.Done()
 		fn()
 	}()
 }
 
-func (w *workload) halt() {
-	w.stop.Store(true)
-	w.wg.Wait()
-}
-
-// lease opens (or re-opens) the recorded session at the coordinates,
-// retrying while the node is down.
-func (w *workload) lease(node, sess int) kite.Session {
-	for !w.stop.Load() {
-		inner, err := w.target.Session(node, sess)
+// lease opens (or re-opens) the session at slot, recorded unless raw,
+// retrying while the deployment is down.
+func (p *Prober) lease(slot int, raw bool) kite.Session {
+	for !p.stop.Load() {
+		s, err := p.Session(slot)
 		if err == nil {
-			s := w.log.Wrap(inner)
-			if w.aud != nil {
-				s = w.aud.Wrap(s)
+			if raw {
+				return s
 			}
-			return s
+			return p.Record(s)
 		}
-		time.Sleep(50 * time.Millisecond)
+		p.errs.Add(1)
+		time.Sleep(leaseRetry)
 	}
 	return nil
 }
 
 // release closes a session that hit an error (freeing its lease on remote
 // backends — leases are a finite per-node resource) and leases afresh.
-func (w *workload) release(s kite.Session, node, sess int) kite.Session {
+func (p *Prober) release(s kite.Session, slot int, raw bool) kite.Session {
 	if s != nil {
 		s.Close()
 	}
-	time.Sleep(50 * time.Millisecond)
-	return w.lease(node, sess)
+	p.errs.Add(1)
+	time.Sleep(leaseRetry)
+	return p.lease(slot, raw)
 }
 
-// leaseRaw opens an unrecorded session at the coordinates, retrying while
-// the node is down. Burst sessions use it: their writes are pure load —
-// never read back, never verified — so recording them would only bloat the
-// verifier's input without adding evidence.
-func (w *workload) leaseRaw(node, sess int) kite.Session {
-	for !w.stop.Load() {
-		s, err := w.target.Session(node, sess)
-		if err == nil {
-			return s
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return nil
-}
-
-// releaseRaw is release for unrecorded sessions.
-func (w *workload) releaseRaw(s kite.Session, node, sess int) kite.Session {
-	if s != nil {
-		s.Close()
-	}
-	time.Sleep(50 * time.Millisecond)
-	return w.leaseRaw(node, sess)
-}
-
-func (w *workload) do(s kite.Session, op kite.Op) error {
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	_, err := s.Do(ctx, op)
-	return err
-}
-
-func (w *workload) doRes(s kite.Session, op kite.Op) (kite.Result, error) {
+func do(s kite.Session, op kite.Op) (kite.Result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	return s.Do(ctx, op)
 }
 
-// producer p writes its payload keys then releases its flag, one round per
+func (p *Prober) payloadKey(pair, k int) uint64 { return p.Base + uint64(pair*16+k) }
+
+// value renders a written value under the run's nonce.
+func (p *Prober) value(format string, args ...any) []byte {
+	return []byte(p.prefix + fmt.Sprintf(format, args...))
+}
+
+// producer writes its payload keys then releases its flag, one round per
 // iteration; round numbers never repeat, even across error retries.
-func (w *workload) producer(p, node, sess int) {
-	s := w.lease(node, sess)
-	for r := 1; s != nil && !w.stop.Load(); r++ {
+func (p *Prober) producer(pair, slot int) {
+	s := p.lease(slot, false)
+	for r := 1; s != nil && !p.stop.Load(); r++ {
 		ok := true
 		for k := 0; k < payloadKeys; k++ {
-			val := []byte(fmt.Sprintf("p%dr%dk%d", p, r, k))
-			if err := w.do(s, kite.WriteOp(uint64(payloadBase+p*16+k), val)); err != nil {
+			if _, err := do(s, kite.WriteOp(p.payloadKey(pair, k), p.value("p%dr%dk%d", pair, r, k))); err != nil {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			flag := []byte(fmt.Sprintf("p%dr%d", p, r))
-			if err := w.do(s, kite.ReleaseOp(uint64(flagBase+p), flag)); err != nil {
+			if _, err := do(s, kite.ReleaseOp(p.Base+flagOff+uint64(pair), p.value("p%dr%d", pair, r))); err != nil {
 				ok = false
 			}
 		}
 		if !ok {
 			// Round abandoned: fresh session, fresh recorded thread.
-			s = w.release(s, node, sess)
+			s = p.release(s, slot, false)
 			continue
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// consumer p acquires p's flag and reads the payload keys; the verifier
-// decides what those reads were allowed to return.
-func (w *workload) consumer(p, node, sess int) {
-	s := w.lease(node, sess)
-	for s != nil && !w.stop.Load() {
-		if _, err := w.doRes(s, kite.AcquireOp(uint64(flagBase+p))); err != nil {
-			s = w.release(s, node, sess)
+// consumer acquires its pair's flag and reads the payload keys; the
+// verifier decides what those reads were allowed to return.
+func (p *Prober) consumer(pair, slot int) {
+	s := p.lease(slot, false)
+	for s != nil && !p.stop.Load() {
+		if _, err := do(s, kite.AcquireOp(p.Base+flagOff+uint64(pair))); err != nil {
+			s = p.release(s, slot, false)
 			continue
 		}
 		bad := false
 		for k := 0; k < payloadKeys; k++ {
-			if err := w.do(s, kite.ReadOp(uint64(payloadBase+p*16+k))); err != nil {
+			if _, err := do(s, kite.ReadOp(p.payloadKey(pair, k))); err != nil {
 				bad = true
 				break
 			}
 		}
 		if bad {
-			s = w.release(s, node, sess)
+			s = p.release(s, slot, false)
 			continue
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -229,12 +234,11 @@ func (w *workload) consumer(p, node, sess int) {
 // the local-reads schedule attacks. Payload keys are never sync-written and
 // their values never collide with flag values, so the verifier judges these
 // acquires as plain reads of relaxed data.
-func (w *workload) scan(node, sess int) {
-	s := w.lease(node, sess)
-	for i := 0; s != nil && !w.stop.Load(); i++ {
-		key := uint64(payloadBase + (i%w.pairs)*16 + (i/w.pairs)%payloadKeys)
-		if _, err := w.doRes(s, kite.AcquireOp(key)); err != nil {
-			s = w.release(s, node, sess)
+func (p *Prober) scan(slot int) {
+	s := p.lease(slot, false)
+	for i := 0; s != nil && !p.stop.Load(); i++ {
+		if _, err := do(s, kite.AcquireOp(p.payloadKey(i%p.Pairs, (i/p.Pairs)%payloadKeys))); err != nil {
+			s = p.release(s, slot, false)
 			continue
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -246,36 +250,36 @@ func (w *workload) scan(node, sess int) {
 // inter-replica broadcast path always has multi-message batches in flight
 // and the adaptive flusher decides on size rather than idling into its
 // linger deadline — which is exactly the state the wire-batching nemeses
-// attack. The session is unrecorded (leaseRaw) and the keys are disjoint
-// from every verified range, so the verifier's judgement rests solely on
-// the recorded workers running alongside.
-func (w *workload) burst(b, node, sess int) {
-	s := w.leaseRaw(node, sess)
+// attack. The session is unrecorded (its writes are pure load, never read
+// back) and the keys are disjoint from every verified range, so the
+// verifier's judgement rests solely on the recorded workers running
+// alongside.
+func (p *Prober) burst(b, slot int) {
+	s := p.lease(slot, true)
 	ops := make([]kite.Op, burstFanout)
-	for r := 1; s != nil && !w.stop.Load(); r++ {
+	for r := 1; s != nil && !p.stop.Load(); r++ {
 		for i := range ops {
-			val := []byte(fmt.Sprintf("b%dr%dk%d", b, r, i))
-			ops[i] = kite.WriteOp(uint64(burstBase+b*burstFanout+i), val)
+			ops[i] = kite.WriteOp(p.Base+burstOff+uint64(b*burstFanout+i), p.value("b%dr%dk%d", b, r, i))
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		_, err := s.DoBatch(ctx, ops)
 		cancel()
 		if err != nil {
-			s = w.releaseRaw(s, node, sess)
+			s = p.release(s, slot, true)
 			continue
 		}
-		w.burstOps.Add(burstFanout)
+		p.burstOps.Add(burstFanout)
 		time.Sleep(2 * time.Millisecond)
 	}
 }
 
 // faa increments the shared counter; contention between the two FAA
 // workers is what gives the lost-update check its power.
-func (w *workload) faa(node, sess int) {
-	s := w.lease(node, sess)
-	for s != nil && !w.stop.Load() {
-		if err := w.do(s, kite.FAAOp(faaKey, 1)); err != nil {
-			s = w.release(s, node, sess)
+func (p *Prober) faa(slot int) {
+	s := p.lease(slot, false)
+	for s != nil && !p.stop.Load() {
+		if _, err := do(s, kite.FAAOp(p.Base+faaOff, 1)); err != nil {
+			s = p.release(s, slot, false)
 			continue
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -285,16 +289,17 @@ func (w *workload) faa(node, sess int) {
 // cas advances a unique-value chain: each successful swap consumes the
 // previous value exactly once. After an indeterminate failure the next
 // attempt's comparand is stale on purpose — its benign failure re-reads
-// the current value.
-func (w *workload) cas(node, sess int) {
-	s := w.lease(node, sess)
+// the current value (as does the first attempt against a chain an earlier
+// run left behind).
+func (p *Prober) cas(slot int) {
+	s := p.lease(slot, false)
 	var expected []byte
-	for i := 0; s != nil && !w.stop.Load(); i++ {
-		next := []byte(fmt.Sprintf("c%d", i))
-		res, err := w.doRes(s, kite.CASOp(casKey, expected, next, false))
+	for i := 0; s != nil && !p.stop.Load(); i++ {
+		next := p.value("c%d", i)
+		res, err := do(s, kite.CASOp(p.Base+casOff, expected, next, false))
 		switch {
 		case err != nil:
-			s = w.release(s, node, sess)
+			s = p.release(s, slot, false)
 		case res.Swapped:
 			expected = next
 		default:

@@ -140,6 +140,54 @@ func TestKeyRefreshedOncePerEpoch(t *testing.T) {
 	}
 }
 
+// TestPauseParksIdleWorker: a replica paused while its worker idles must
+// sleep for real. Its worker waits in idleWait (a long idle poll keeps it
+// there), so the peer's write is the batch that would wake it. That write
+// must stay unapplied and unacknowledged until the pause ends, so the
+// peer's release takes the DM-set slow path.
+func TestPauseParksIdleWorker(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.Workers = 1
+	cfg.IdlePoll = 100 * time.Millisecond
+	cfg.ReleaseTimeout = 20 * time.Millisecond
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Node(0).Session(0)
+	write(t, s, 40, "warm")
+	time.Sleep(10 * time.Millisecond) // every worker back in idleWait
+
+	const nap = time.Second
+	slow := c.Node(0).SlowPathStats().SlowReleases
+	start := time.Now()
+	c.Node(2).Pause(nap)
+	write(t, s, 40, "payload")
+	release(t, s, 41, "flag")
+	if got := c.Node(0).SlowPathStats().SlowReleases - slow; got != 1 {
+		t.Fatalf("release with a paused replica took the slow path %d times, want 1", got)
+	}
+	var buf [64]byte
+	if v, _, _, _ := c.Node(2).Store.View(40, buf[:]); string(v) == "payload" && time.Since(start) < nap {
+		t.Fatal("the paused replica applied the write before it resumed")
+	}
+	// Once awake it catches up from the ledger's resends.
+	deadline := time.Now().Add(nap + 5*time.Second)
+	for {
+		if v, _, _, _ := c.Node(2).Store.View(40, buf[:]); string(v) == "payload" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the woken replica never applied the write")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if time.Since(start) < nap {
+		t.Fatal("the paused replica applied the write before it resumed")
+	}
+}
+
 // TestAvailabilityDuringNodePause reproduces the failure study's headline
 // (§8.4): with one replica asleep, the remaining majority keeps serving all
 // operation classes.

@@ -58,7 +58,18 @@ type Node struct {
 	walSync     bool
 	walErr      atomic.Pointer[error]
 
-	paused  atomic.Bool
+	// pause is the current sleep's gate (Pause), nil while awake; the
+	// worker loop checks it once per iteration and parks on the gate it
+	// loaded, until the pause's end closes the gate's resume channel (Stop
+	// and Crash release parked workers through stopCh). pauseMu guards the
+	// gates' parked counts, pause's transitions and live, the workers still
+	// running their loop; pauseCond signals a worker parking or exiting to a
+	// Pause waiting for all of them.
+	pause     atomic.Pointer[pauseGate]
+	pauseMu   sync.Mutex
+	pauseCond sync.Cond
+	live      int
+
 	stopped atomic.Bool
 	// stopCh is closed when the node stops; background loops (WAL
 	// snapshots) select on it.
@@ -125,6 +136,7 @@ func NewNode(id uint8, cfg Config, tr transport.Transport) (*Node, error) {
 		tr:    tr,
 	}
 	nd.stopCh = make(chan struct{})
+	nd.pauseCond.L = &nd.pauseMu
 	// WAL replay happens before the membership check: it may both raise
 	// the incarnation above the requested one and adopt a newer group
 	// configuration the node had durably installed — including one that
@@ -272,6 +284,9 @@ func (nd *Node) Start() {
 		return
 	}
 	nd.started = true
+	nd.pauseMu.Lock()
+	nd.live = len(nd.workers)
+	nd.pauseMu.Unlock()
 	for _, w := range nd.workers {
 		nd.wg.Add(1)
 		go func(w *Worker) {
@@ -331,16 +346,67 @@ func (nd *Node) Stopped() bool { return nd.stopped.Load() }
 // Pause makes the node unresponsive for d — workers stop processing
 // messages and requests, exactly like the sleeping replica of the failure
 // study (§8.4). Messages queued for it overflow and drop; its peers' releases
-// time out, publish it in DM-sets and move on.
+// time out, publish it in DM-sets and move on. Pause returns once every
+// live worker has parked, so nothing the node receives afterwards is
+// dispatched or acknowledged before the pause ends.
 func (nd *Node) Pause(d time.Duration) {
-	if nd.paused.Swap(true) {
+	nd.pauseMu.Lock()
+	defer nd.pauseMu.Unlock()
+	if nd.pause.Load() != nil {
 		return
 	}
-	time.AfterFunc(d, func() { nd.paused.Store(false) })
+	g := &pauseGate{resume: make(chan struct{})}
+	nd.pause.Store(g)
+	time.AfterFunc(d, func() {
+		nd.pauseMu.Lock()
+		defer nd.pauseMu.Unlock()
+		nd.pause.Store(nil)
+		close(g.resume)
+		nd.pauseCond.Broadcast()
+	})
+	for _, w := range nd.workers {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
+	for nd.pause.Load() == g && g.parked < nd.live {
+		nd.pauseCond.Wait()
+	}
+}
+
+// pauseGate is one pause: the channel its end closes and the count of
+// workers parked on it.
+type pauseGate struct {
+	resume chan struct{}
+	parked int
+}
+
+// park blocks a worker on pause g until g ends or the node stops. A gate
+// that already ended returns at once.
+func (w *Worker) park(g *pauseGate) {
+	nd := w.node
+	nd.pauseMu.Lock()
+	g.parked++
+	nd.pauseCond.Broadcast()
+	nd.pauseMu.Unlock()
+	select {
+	case <-g.resume:
+	case <-nd.stopCh:
+	}
+}
+
+// exited takes a worker whose loop returned out of Pause's count.
+func (w *Worker) exited() {
+	nd := w.node
+	nd.pauseMu.Lock()
+	nd.live--
+	nd.pauseCond.Broadcast()
+	nd.pauseMu.Unlock()
 }
 
 // Paused reports whether the node is currently unresponsive.
-func (nd *Node) Paused() bool { return nd.paused.Load() }
+func (nd *Node) Paused() bool { return nd.pause.Load() != nil }
 
 // CatchingUp reports whether the node is still running its rejoin sweep.
 // A catching-up node buffers client requests and serves no acquires (or any

@@ -21,6 +21,8 @@ type Worker struct {
 
 	inbox <-chan transport.Batch
 	reqCh chan *Request
+	// wake interrupts idleWait (Pause uses it to park an idle worker).
+	wake chan struct{}
 
 	sessions []*Session
 	// catchup is the rejoin sweep in flight (worker 0 only, nil otherwise).
@@ -64,6 +66,7 @@ func newWorker(nd *Node, id uint8) *Worker {
 		id:    id,
 		inbox: nd.tr.Recv(transport.Endpoint{Node: nd.ID, Worker: id}),
 		reqCh: make(chan *Request, 1024),
+		wake:  make(chan struct{}, 1),
 		// Staging is sized for the id space, not the current member count:
 		// reconfiguration can add members with ids beyond the boot-time n.
 		out:      make([][]proto.Message, llc.MaxNodes),
@@ -330,6 +333,7 @@ func (w *Worker) admit(r *Request) {
 
 // run is the worker event loop.
 func (w *Worker) run() {
+	defer w.exited()
 	defer w.failAll()
 	w.idle = time.NewTimer(w.node.cfg.IdlePoll)
 	defer w.idle.Stop()
@@ -354,10 +358,10 @@ func (w *Worker) run() {
 			w.node.finishCatchup()
 			return
 		}
-		if w.node.paused.Load() {
+		if g := w.node.pause.Load(); g != nil {
 			// The sleeping replica of the failure study: no receiving,
 			// no sending, no client progress.
-			time.Sleep(100 * time.Microsecond)
+			w.park(g)
 			continue
 		}
 		w.now = time.Now()
@@ -376,12 +380,7 @@ func (w *Worker) run() {
 		for i := 0; i < maxBatchesPerIter; i++ {
 			select {
 			case batch := <-w.inbox:
-				for j := range batch.Msgs {
-					w.dispatch(&batch.Msgs[j])
-				}
-				// Handlers copy anything they keep, so the batch's pooled
-				// buffers go back to the transport here.
-				batch.Release()
+				w.deliver(batch)
 				progress = true
 			default:
 				break drain
@@ -482,10 +481,17 @@ func (w *Worker) idleWait() {
 	w.idle.Reset(w.node.cfg.IdlePoll)
 	select {
 	case batch := <-w.inbox:
-		for j := range batch.Msgs {
-			w.dispatch(&batch.Msgs[j])
+		if g := w.node.pause.Load(); g != nil {
+			// The node paused while this worker slept here: the batch
+			// that woke it waits for the pause's end like the rest.
+			w.park(g)
+			if w.node.stopped.Load() {
+				batch.Release()
+				return
+			}
+			w.now = time.Now() // the pause outlasted the loop's reading
 		}
-		batch.Release()
+		w.deliver(batch)
 		// Same barrier as the loop's step 4b: these dispatches may have
 		// granted promises/accepts whose acks are about to ship.
 		if w.syncWAL() {
@@ -493,8 +499,19 @@ func (w *Worker) idleWait() {
 		}
 	case r := <-w.reqCh:
 		w.admit(r)
+	case <-w.wake:
 	case <-w.idle.C:
 	}
+}
+
+// deliver dispatches every message of an inbound batch. Handlers copy
+// anything they keep, so the batch's pooled buffers go back to the
+// transport here.
+func (w *Worker) deliver(batch transport.Batch) {
+	for j := range batch.Msgs {
+		w.dispatch(&batch.Msgs[j])
+	}
+	batch.Release()
 }
 
 // scanDeadlines is the worker's one timer walk. For each session: the head

@@ -1,10 +1,21 @@
 // Package history records complete operation histories of kite.Session
-// workloads for offline consistency checking. A Log wraps any number of
-// sessions (on any backend) in recording adapters that note every
-// invocation and completion with monotonic timestamps; the snapshot is a
-// flat, serialisable event list that internal/verifier checks for
-// release-consistency and k-atomicity violations, and that kite-chaos
-// writes next to its run report.
+// workloads. One recorder, Record, wraps a session, asks its sinks which
+// operations they keep, and builds one Event per kept operation —
+// arguments and results cloned, the outcome classified, batch ids
+// assigned, invoke and completion stamped once each on the process's
+// monotonic recording clock (Now) — and hands it to the sinks that kept
+// it. Two sinks consume it:
+//
+//   - Log keeps every op of every session under a per-session index. Its
+//     snapshot is a flat, serialisable event list that internal/verifier
+//     checks offline for release-consistency and k-atomicity violations,
+//     and that kite-chaos writes next to its run report. (*Log).Wrap is
+//     Record with a Log sink alone.
+//   - internal/audit's Auditor samples, re-indexes and streams ops through
+//     the incremental checker while the deployment serves.
+//
+// A session recorded with both sinks (the chaos runner's online-audit
+// legs) gives both judges the same events on the same intervals.
 //
 // The model is the standard invoke/complete history of the linearizability
 // literature (Herlihy & Wing; the k-Atomicity-Verification problem in
@@ -16,9 +27,10 @@
 // (validation rejections) provably did not execute.
 //
 // Logs from different processes serialise to a compact JSON-lines form and
-// Merge into one history; timestamps are monotonic offsets from a per-log
-// wall-clock base, so merged cross-process histories are as accurate as the
-// machines' clock agreement (exact for the single-machine harnesses).
+// Merge into one history; timestamps are monotonic offsets from the
+// recording process's wall-clock epoch, so merged cross-process histories
+// are as accurate as the machines' clock agreement (exact for the
+// single-machine harnesses).
 package history
 
 import (
@@ -28,7 +40,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"kite"
 )
@@ -158,53 +169,68 @@ type Recorded struct {
 	Events []Event `json:"events"`
 }
 
-// Log is a live recorder. Wrap sessions before using them; Snapshot after
-// the workload quiesces.
+// Log is the offline verifier's sink: it keeps every op of every session
+// it records, under a per-session index. Wrap sessions before using them;
+// Snapshot after the workload quiesces.
 type Log struct {
-	base     time.Time
-	baseWall int64
-
 	mu       sync.Mutex
 	sessions []*sessionLog
 }
 
+// sessionLog is one recorded session's events, indexed in submission order.
 type sessionLog struct {
 	id int
 
 	mu     sync.Mutex
 	events []Event
-	nbatch int
 }
 
-// New starts an empty log. The moment of creation is the timestamp epoch.
-func New() *Log {
-	now := time.Now()
-	return &Log{base: now, baseWall: now.UnixNano()}
-}
-
-func (l *Log) now() int64 { return int64(time.Since(l.base)) }
+// New starts an empty log.
+func New() *Log { return &Log{} }
 
 // Wrap returns a recording kite.Session around inner under a fresh
 // session id. The wrapper carries inner's single-logical-thread contract.
-func (l *Log) Wrap(inner kite.Session) kite.Session {
+func (l *Log) Wrap(inner kite.Session) kite.Session { return Record(inner, l.Sink()) }
+
+// Sink registers a fresh recording session and returns the sink that keeps
+// its events — for a Record that also feeds other sinks.
+func (l *Log) Sink() Sink {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	s := &sessionLog{id: len(l.sessions)}
 	l.sessions = append(l.sessions, s)
-	l.mu.Unlock()
-	r := &recorder{inner: inner, log: l, sess: s}
-	r.Ops = kite.Ops{Doer: r}
-	return r
+	return s
+}
+
+// Keep keeps every op.
+func (s *sessionLog) Keep(kite.Op) bool { return true }
+
+// Invoke appends the pending event (Complete < 0); its index is the token.
+func (s *sessionLog) Invoke(e Event) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.Session, e.Index = s.id, len(s.events)
+	s.events = append(s.events, e)
+	return e.Index
+}
+
+// Complete replaces the pending event with the completed one.
+func (s *sessionLog) Complete(idx int, e Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.Session, e.Index = s.id, idx
+	s.events[idx] = e
 }
 
 // Snapshot copies the recorded history. Events still in flight (invoked,
 // never completed) are closed as OutcomeMaybe at snapshot time. Safe to
 // call while sessions are live, but meant for after quiesce.
 func (l *Log) Snapshot() *Recorded {
-	now := l.now()
+	now := Now()
 	l.mu.Lock()
 	sessions := append([]*sessionLog(nil), l.sessions...)
 	l.mu.Unlock()
-	rec := &Recorded{BaseWallNS: l.baseWall}
+	rec := &Recorded{BaseWallNS: epoch.UnixNano()}
 	for _, s := range sessions {
 		s.mu.Lock()
 		for _, e := range s.events {

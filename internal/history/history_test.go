@@ -151,9 +151,7 @@ func TestJSONRoundTripAndMerge(t *testing.T) {
 // recorded as indeterminate rather than lost or left open.
 func TestSnapshotClosesPending(t *testing.T) {
 	log := New()
-	s := &sessionLog{id: 0}
-	log.sessions = append(log.sessions, s)
-	s.begin(log.now(), kite.WriteOp(1, []byte("x")), -1)
+	log.Sink().Invoke(Event{Op: kite.OpWrite, Key: 1, Arg: []byte("x"), Batch: -1, Invoke: Now(), Complete: -1})
 	rec := log.Snapshot()
 	if len(rec.Events) != 1 {
 		t.Fatalf("events = %+v", rec.Events)
@@ -169,9 +167,7 @@ func TestSnapshotClosesPending(t *testing.T) {
 // race deterministically; the closed interval must still be ordered.
 func TestSnapshotPendingInvokedAfterClockRead(t *testing.T) {
 	log := New()
-	s := &sessionLog{id: 0}
-	log.sessions = append(log.sessions, s)
-	s.begin(log.now()+int64(time.Second), kite.WriteOp(1, []byte("late")), -1)
+	log.Sink().Invoke(Event{Op: kite.OpWrite, Key: 1, Arg: []byte("late"), Batch: -1, Invoke: Now() + int64(time.Second), Complete: -1})
 	rec := log.Snapshot()
 	if e := rec.Events[0]; e.Outcome != OutcomeMaybe || e.Complete < e.Invoke {
 		t.Fatalf("late pending event closed as [%d, %d]: %+v", e.Invoke, e.Complete, e)

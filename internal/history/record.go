@@ -3,52 +3,122 @@ package history
 import (
 	"context"
 	"errors"
+	"time"
 
 	"kite"
 )
 
-// recorder is the recording kite.Session adapter. It is transparent: every
-// call is forwarded to the wrapped session, and the invoke/complete pair is
-// logged around it. Convenience methods come from kite.Ops.
+// epoch anchors the recording clock: every recorder in the process stamps
+// its events as nanosecond offsets from it, so two sinks fed by one
+// recorder (or by recorders wrapped at different times) share one
+// timeline.
+var epoch = time.Now()
+
+// Now reads the recording clock: monotonic nanoseconds since the process's
+// recording epoch. Event.Invoke and Event.Complete are readings of it.
+func Now() int64 { return int64(time.Since(epoch)) }
+
+// A Sink receives the events of one recorded session. Keep decides first,
+// from the bare op, whether the sink records it; only if some sink keeps
+// an op does Record build its event — once — and hand a copy to each sink
+// that kept it. A sink stamps its own Session and Index on its copy.
+//
+// Invoke gets the event at submission (Complete < 0) and returns a token
+// that the matching Complete call carries back. Keep and Invoke are called
+// in the session's submission order; completions arrive from the
+// backend's goroutines, in any order.
+type Sink interface {
+	Keep(op kite.Op) bool
+	Invoke(e Event) (tok int)
+	Complete(tok int, e Event)
+}
+
+// maxSinks bounds the sinks of one recorder, so a call keeps its tokens
+// inline.
+const maxSinks = 4
+
+// Record returns a recording kite.Session around inner that feeds every
+// operation some sink keeps to sinks (at most maxSinks). It is
+// transparent: every call is forwarded to the wrapped session, and the
+// invoke/complete pair is recorded around it; an op no sink keeps costs
+// no event, clone or clock read. The wrapper carries inner's
+// single-logical-thread contract; convenience methods come from kite.Ops.
+func Record(inner kite.Session, sinks ...Sink) kite.Session {
+	if len(sinks) > maxSinks {
+		panic("history: more than maxSinks sinks on one recorder")
+	}
+	r := &recorder{inner: inner, sinks: sinks}
+	r.Ops = kite.Ops{Doer: r}
+	return r
+}
+
 type recorder struct {
 	kite.Ops
 	inner kite.Session
-	log   *Log
-	sess  *sessionLog
+	sinks []Sink
+	// nbatch numbers this session's DoBatch calls; only the session's one
+	// logical thread touches it.
+	nbatch int
 }
 
-// begin appends a pending event (Complete < 0) and returns its slot.
-func (s *sessionLog) begin(now int64, op kite.Op, batch int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := len(s.events)
-	s.events = append(s.events, Event{
-		Session: s.id, Index: idx, Op: op.Code, Key: op.Key,
+// call is one recorded operation in flight: its event, built once, the
+// set of sinks that kept it (bit i for sink i) and each one's token.
+type call struct {
+	ev   Event
+	kept uint8
+	toks [maxSinks]int
+}
+
+// keep asks every sink whether it keeps op and returns the set that does.
+func (r *recorder) keep(op kite.Op) (kept uint8) {
+	for i, s := range r.sinks {
+		if s.Keep(op) {
+			kept |= 1 << i
+		}
+	}
+	return kept
+}
+
+// invoke builds the event of an op the sinks in kept keep, and invokes
+// them.
+func (r *recorder) invoke(c *call, kept uint8, now int64, op kite.Op, batch int) {
+	c.kept = kept
+	c.ev = Event{
+		Op: op.Code, Key: op.Key,
 		Arg: cloneBytes(op.Value), Expected: cloneBytes(op.Expected), Delta: op.Delta,
 		Batch: batch, Invoke: now, Complete: -1,
-	})
-	return idx
+	}
+	for i, s := range r.sinks {
+		if kept&(1<<i) != 0 {
+			c.toks[i] = s.Invoke(c.ev)
+		}
+	}
 }
 
-// end completes a pending event with the operation's result.
-func (s *sessionLog) end(now int64, idx int, r kite.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := &s.events[idx]
-	e.Complete = now
-	e.Out = cloneBytes(r.Value)
-	e.Swapped = r.Swapped
-	if r.Err == nil {
-		e.Outcome = OutcomeOK
+// end stamps the result onto the call's event.
+func (c *call) end(now int64, res kite.Result) {
+	c.ev.Complete = now
+	c.ev.Out = cloneBytes(res.Value)
+	c.ev.Swapped = res.Swapped
+	if res.Err == nil {
+		c.ev.Outcome = OutcomeOK
 	} else {
-		e.Outcome = Classify(r.Err)
-		e.Err = r.Err.Error()
+		c.ev.Outcome = Classify(res.Err)
+		c.ev.Err = res.Err.Error()
+	}
+}
+
+// finish hands the completed event to every sink that kept the op.
+func (r *recorder) finish(c *call) {
+	for i, s := range r.sinks {
+		if c.kept&(1<<i) != 0 {
+			s.Complete(c.toks[i], c.ev)
+		}
 	}
 }
 
 // Classify sorts an operation error into the indeterminacy taxonomy: did
 // the operation provably not run, or might it still have taken effect?
-// Shared by every recorder (this package's Log, internal/audit's sampler).
 func Classify(err error) Outcome {
 	switch {
 	case errors.Is(err, kite.ErrBadOp),
@@ -74,58 +144,85 @@ func cloneBytes(b []byte) []byte {
 
 // Do records one synchronous operation.
 func (r *recorder) Do(ctx context.Context, op kite.Op) (kite.Result, error) {
-	idx := r.sess.begin(r.log.now(), op, -1)
+	kept := r.keep(op)
+	if kept == 0 {
+		return r.inner.Do(ctx, op)
+	}
+	var c call
+	r.invoke(&c, kept, Now(), op, -1)
 	res, err := r.inner.Do(ctx, op)
-	r.sess.end(r.log.now(), idx, res)
+	c.end(Now(), res)
+	r.finish(&c)
 	return res, err
 }
 
-// DoAsync records an asynchronous operation; the completion is logged from
-// the backend's callback goroutine.
+// DoAsync records an asynchronous operation; the completion is recorded
+// from the backend's callback goroutine.
 func (r *recorder) DoAsync(op kite.Op, cb func(kite.Result)) {
-	idx := r.sess.begin(r.log.now(), op, -1)
+	kept := r.keep(op)
+	if kept == 0 {
+		r.inner.DoAsync(op, cb)
+		return
+	}
+	c := new(call)
+	r.invoke(c, kept, Now(), op, -1)
 	r.inner.DoAsync(op, func(res kite.Result) {
-		r.sess.end(r.log.now(), idx, res)
+		c.end(Now(), res)
+		r.finish(c)
 		if cb != nil {
 			cb(res)
 		}
 	})
 }
 
-// DoBatch records every op of the batch under one batch id. A rejected
-// batch (nil results) provably executed nothing: all its events complete
-// with OutcomeNever.
+// DoBatch records every kept op of the batch under one batch id. A
+// rejected batch (nil results) provably executed nothing: all its events
+// complete with OutcomeNever.
 func (r *recorder) DoBatch(ctx context.Context, ops []kite.Op) ([]kite.Result, error) {
 	if len(ops) == 0 {
 		return r.inner.DoBatch(ctx, ops)
 	}
-	r.sess.mu.Lock()
-	batch := r.sess.nbatch
-	r.sess.nbatch++
-	r.sess.mu.Unlock()
-	t0 := r.log.now()
-	idxs := make([]int, len(ops))
+	batch := r.nbatch
+	r.nbatch++
+	var (
+		calls []call // allocated at the first kept op
+		t0    int64
+	)
 	for i, op := range ops {
-		idxs[i] = r.sess.begin(t0, op, batch)
+		kept := r.keep(op)
+		if kept == 0 {
+			continue
+		}
+		if calls == nil {
+			calls, t0 = make([]call, len(ops)), Now()
+		}
+		r.invoke(&calls[i], kept, t0, op, batch)
 	}
 	results, err := r.inner.DoBatch(ctx, ops)
-	t1 := r.log.now()
-	for i := range ops {
+	if calls == nil {
+		return results, err
+	}
+	t1 := Now()
+	for i := range calls {
+		c := &calls[i]
+		if c.kept == 0 {
+			continue
+		}
 		switch {
 		case results != nil:
-			r.sess.end(t1, idxs[i], results[i])
+			c.end(t1, results[i])
 		case err != nil:
 			// All-or-nothing rejection: no op consumed a session slot.
-			r.sess.end(t1, idxs[i], kite.Result{Err: err})
-			r.sess.mu.Lock()
-			r.sess.events[idxs[i]].Outcome = OutcomeNever
-			r.sess.mu.Unlock()
+			c.end(t1, kite.Result{Err: err})
+			c.ev.Outcome = OutcomeNever
 		default:
-			r.sess.end(t1, idxs[i], kite.Result{})
+			c.end(t1, kite.Result{})
 		}
+		r.finish(c)
 	}
 	return results, err
 }
 
-// Close closes the wrapped session; the recorded events stay in the log.
+// Close closes the wrapped session; the recorded events stay with the
+// sinks.
 func (r *recorder) Close() error { return r.inner.Close() }

@@ -44,8 +44,8 @@ const (
 	KindProposeAck // OpID, Flags, Slot, Stamp, Value, Bits (see paxos package)
 	KindAccept     // Key, Slot, Stamp, Value, OpID
 	KindAcceptAck  // OpID, Flags, Slot
-	KindCommit     // Key, Slot, Stamp, Value (no reply)
-	KindCommitAck  // OpID: used when the committer wants visibility (tests)
+	KindCommit     // Key, Slot, Stamp, Value, OpID: every receiver acks it
+	KindCommitAck  // OpID, Bits (the echoed attempt tag): an RMW completes on a quorum of these
 	KindPaxosLearn // Key, Slot, Stamp, Value: catch-up reply for laggards
 	kindReserved22 // retired (a committed-state query nothing sent); later kinds keep their values
 	kindReserved23 // retired (its reply)

@@ -154,9 +154,9 @@ func TestShardedBatchSplitsPerGroup(t *testing.T) {
 // replica cut off) settles the producer's writes; the following cross-shard
 // release in group B must STILL wait for the sleeper's real acks, because
 // the consumer acquires only in group B and would otherwise read group A's
-// stale replica forever. The sleeper is a network isolation healed after
-// nap rather than a PauseNode: a paused worker parked in its idle wait can
-// still answer the batch that wakes it, so a pause may ack both releases.
+// stale replica forever. The sleeper is a network isolation of group A's
+// replica alone, healed after nap; a PauseNode would put machine 2 to
+// sleep in both groups.
 func TestCrossShardFenceAfterSlowRelease(t *testing.T) {
 	c := newTestCluster(t, 2)
 	m := shard.NewMap(2)

@@ -586,14 +586,18 @@ func (l *Log) flusher(seg *os.File, segIndex uint64) {
 
 	// spare recycles the drained batch buffer back under l.buf so the
 	// steady state allocates nothing; oversized one-off batches are
-	// dropped rather than pinned.
+	// dropped rather than pinned. An empty buffer stays where it is:
+	// swapping it out would trade it for a nil spare.
 	var spare []byte
 	swapBuf := func() []byte {
 		l.mu.Lock()
+		defer l.mu.Unlock()
+		if len(l.buf) == 0 {
+			return nil
+		}
 		b := l.buf
 		l.buf = spare
 		spare = nil
-		l.mu.Unlock()
 		return b
 	}
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -148,6 +149,46 @@ func TestSyncMakesAppendsDurable(t *testing.T) {
 		t.Fatalf("syncedSeq %d < appendSeq %d after Sync", l.syncedSeq.Load(), l.appendSeq.Load())
 	}
 	l.Close()
+}
+
+// TestEmptyFlushKeepsRecycledBuffer: the flusher recycles each written
+// batch's buffer for the next one. A flush that finds nothing to write
+// must keep that buffer, or the next batch regrows from nothing.
+func TestEmptyFlushKeepsRecycledBuffer(t *testing.T) {
+	_, _, l := collectReplay(t, t.TempDir(), Options{Incarnation: 1, FsyncInterval: time.Hour})
+	defer l.Close()
+	rec := Record{Kind: KindWrite, Key: 1, Stamp: 1, Value: []byte("value")}
+	batch := func() {
+		for i := 0; i < 64; i++ {
+			l.Append(rec)
+		}
+	}
+	// flush is a Sync request straight to the flusher, past Sync's
+	// nothing-to-do shortcut.
+	flush := func() {
+		reply := make(chan error, 1)
+		l.syncCh <- reply
+		if err := <-reply; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two written batches put both buffers in rotation; then a flush
+	// finds the buffer empty, and one more batch is written.
+	for i := 0; i < 2; i++ {
+		batch()
+		flush()
+	}
+	flush()
+	batch()
+	flush()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	batch()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d allocations appending a batch after an empty flush, want 0", n)
+	}
 }
 
 func segPath(t *testing.T, dir string) string {
