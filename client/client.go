@@ -10,8 +10,8 @@
 // replica-to-replica transport: datagrams may be lost, duplicated or
 // reordered. The client retransmits unacknowledged requests every
 // RetryInterval until OpTimeout; the server executes each (session, seq)
-// exactly once and answers retransmissions from a reply cache, so retried
-// writes and RMWs are safe. DoBatch pipelines many operations into a single
+// exactly once and answers retransmissions from its session window, so
+// retried writes and RMWs are safe. DoBatch pipelines many operations into a single
 // request datagram — one round trip for a whole batch of relaxed accesses —
 // while replies stay per-op so one lost reply costs one retransmission.
 //
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,8 +95,12 @@ type Options struct {
 	OpTimeout time.Duration
 	// RetryInterval is the retransmission period (default 50ms).
 	RetryInterval time.Duration
-	// MaxInflight caps outstanding operations per session; submissions
-	// block once the window is full (default 64).
+	// MaxInflight is the session window, counted from the ack frontier
+	// (the oldest unanswered op): an op is sent only when its seq is less
+	// than MaxInflight past the frontier, and submissions block until it
+	// is. One lost reply therefore holds later submissions until its
+	// retransmission is answered. Default 64; values above the wire
+	// protocol's window (256) are capped there.
 	MaxInflight int
 }
 
@@ -112,12 +117,10 @@ func (o Options) withDefaults() Options {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 64
 	}
+	if o.MaxInflight > proto.SessionWindow {
+		o.MaxInflight = proto.SessionWindow
+	}
 	return o
-}
-
-type pendingKey struct {
-	sess uint32
-	seq  uint64
 }
 
 // batchGroup is the shared retransmission state of the ops of one batch
@@ -127,21 +130,35 @@ type batchGroup struct {
 	pass  uint64 // last retry pass that resent the frame
 }
 
-// pendingOp is one unacknowledged request: its encoded datagram for
-// retransmission, the completion callback, and the give-up deadline.
-// Exactly one of cb (data ops) and ctrlCB (control ops) is set. cb is
-// mutated only under Client.mu while the op is registered; it is cleared
-// when the waiter detaches (context expiry) so the result is delivered at
-// most once.
-type pendingOp struct {
+// ctrlOp is one unacknowledged control request.
+type ctrlOp struct {
 	frame    []byte
-	batch    *batchGroup // nil for individually framed ops
+	deadline time.Time
+	cb       func(rep *proto.ClientReply, err error)
+}
+
+// opSlot is seq q's place in its session's window, ring[q % SessionWindow],
+// reused once the ack frontier passes q. Like kite's pooled calls, it
+// keeps its frame buffer and owns the channel Do waits on.
+type opSlot struct {
+	seq      uint64
+	pending  bool        // sent, and neither answered nor expired
+	frame    []byte      // the op's request frame, unless batch carries it
+	batch    *batchGroup // the DoBatch chunk whose frame carries the op
+	sending  atomic.Bool // frame's first send is in progress: do not reuse
 	ctx      context.Context
 	deadline time.Time
-	cb       func(Result)
-	ctrlCB   func(rep *proto.ClientReply, err error)
-	sess     *Session // nil for control ops
-	seq      uint64
+	cb       func(Result) // takes the result; nil once the waiter gave up
+	own      chan Result  // Do's channel, fed by toOwn; both made once
+	toOwn    func(Result)
+}
+
+// finish ends a pending slot and takes its callback. Callers hold the
+// session's mu, and advance afterwards.
+func (sl *opSlot) finish() func(Result) {
+	cb := sl.cb
+	sl.pending, sl.cb, sl.ctx, sl.batch = false, nil, nil, nil
+	return cb
 }
 
 // Client is one connection to a node's session server. It is safe for
@@ -154,11 +171,13 @@ type Client struct {
 	// batch syscalls are unavailable).
 	bc *transport.BatchConn
 
+	// sessions routes data replies by session id. NewSession and
+	// Session.Close replace the map under mu, so readers need no lock.
+	sessions atomic.Pointer[map[uint32]*Session]
+
 	mu      sync.Mutex
-	pending map[pendingKey]*pendingOp // data ops: key {sess, seq}
-	control map[uint64]*pendingOp     // control ops: key seq
+	control map[uint64]*ctrlOp // control ops: key seq
 	ctrlSeq uint64
-	pass    uint64 // retry pass counter (batch resend dedup)
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -193,14 +212,14 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts:    opts,
 		conn:    conn,
 		bc:      transport.NewBatchConn(conn, nil),
-		pending: make(map[pendingKey]*pendingOp),
-		control: make(map[uint64]*pendingOp),
+		control: make(map[uint64]*ctrlOp),
 		// Control seqs start at a random point so that a client whose
 		// socket reuses a recently freed ephemeral port cannot collide
 		// with its predecessor's (addr, seq) entries in the server's
 		// open-dedup cache — nor match the predecessor's late replies.
 		ctrlSeq: rand.Uint64(),
 	}
+	c.sessions.Store(&map[uint32]*Session{})
 	c.wg.Add(2)
 	go c.recvLoop()
 	go c.retryLoop()
@@ -295,80 +314,46 @@ func (c *Client) Close() error {
 	}
 	c.conn.Close()
 	c.wg.Wait()
-	// Fail everything still outstanding. Data ops release their window
-	// slot (via completed) so submitters blocked on a full window wake.
+	// Fail everything outstanding, waking submitters blocked on a window;
+	// a racing submission sees closed under its session's lock.
 	c.mu.Lock()
-	pending, control := c.pending, c.control
-	c.pending, c.control = map[pendingKey]*pendingOp{}, map[uint64]*pendingOp{}
+	control := c.control
+	c.control = map[uint64]*ctrlOp{}
 	c.mu.Unlock()
-	for _, op := range pending {
-		if op.sess != nil {
-			op.sess.completed(op.seq)
-		}
-		op.fail(ErrClosed)
+	for _, s := range *c.sessions.Load() {
+		s.failPending(ErrClosed)
 	}
 	for _, op := range control {
-		op.fail(ErrClosed)
+		op.cb(nil, ErrClosed)
 	}
 	return nil
 }
 
-func (op *pendingOp) fail(err error) {
-	if op.ctrlCB != nil {
-		op.ctrlCB(nil, err)
-	} else if op.cb != nil {
-		op.cb(Result{Err: err})
-	}
-}
-
-// detach clears a registered op's callback (the waiter gave up on its
-// context). The op keeps retransmitting until acknowledged or expired so
-// the server's in-order stream sees its seq — detaching never breaks the
-// session. Reports whether the op was still registered.
-func (c *Client) detach(key pendingKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	op, ok := c.pending[key]
-	if !ok {
-		return false
-	}
-	op.cb = nil
-	return true
-}
-
-// recvLoop demultiplexes replies to pending operations.
+// recvLoop demultiplexes replies: control replies by seq, data replies by
+// session and then by their seq's slot.
 func (c *Client) recvLoop() {
 	defer c.wg.Done()
 	buf := make([]byte, 2048)
+	var rep proto.ClientReply // reused: handlers copy what they keep
 	for {
 		n, err := c.conn.Read(buf)
 		if err != nil {
 			return // closed
 		}
-		var rep proto.ClientReply
 		if rep.Unmarshal(buf[:n]) != nil {
 			continue
 		}
-		c.mu.Lock()
-		var op *pendingOp
 		if rep.Flags&proto.ClientFlagControl != 0 {
-			if op = c.control[rep.Seq]; op != nil {
-				delete(c.control, rep.Seq)
+			c.mu.Lock()
+			op := c.control[rep.Seq]
+			delete(c.control, rep.Seq)
+			c.mu.Unlock()
+			if op != nil {
+				op.cb(&rep, statusErr(rep.Status))
 			}
-		} else {
-			k := pendingKey{sess: rep.Sess, seq: rep.Seq}
-			if op = c.pending[k]; op != nil {
-				delete(c.pending, k)
-			}
+		} else if s := (*c.sessions.Load())[rep.Sess]; s != nil {
+			s.complete(&rep)
 		}
-		c.mu.Unlock()
-		if op == nil {
-			continue // duplicate or stale reply
-		}
-		if op.sess != nil {
-			op.sess.completed(op.seq)
-		}
-		c.complete(op, &rep)
 	}
 }
 
@@ -392,29 +377,6 @@ func statusErr(status uint8) error {
 	}
 }
 
-// complete maps a wire reply to the op's callback (on the receive
-// goroutine — callbacks must not block).
-func (c *Client) complete(op *pendingOp, rep *proto.ClientReply) {
-	err := statusErr(rep.Status)
-	if op.ctrlCB != nil {
-		op.ctrlCB(rep, err)
-		return
-	}
-	if rep.Flags&proto.ClientFlagReconfigured != 0 {
-		// The node's group reconfigured since this session last heard:
-		// refresh the membership view in the background.
-		c.refreshAsync()
-	}
-	if op.cb == nil {
-		return
-	}
-	res := Result{Swapped: rep.Flags&proto.ClientFlagSwapped != 0, Err: err}
-	if err == nil && len(rep.Value) > 0 {
-		res.Value = append([]byte(nil), rep.Value...)
-	}
-	op.cb(res)
-}
-
 // retryLoop retransmits unacknowledged requests, expires ops past their
 // deadline, and sweeps context-canceled ops — the reliability layer over
 // the lossy datagram link, and the place per-op cancellation is observed
@@ -423,126 +385,95 @@ func (c *Client) retryLoop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.opts.RetryInterval)
 	defer tick.Stop()
-	// Frames are immutable once registered, so the pass stages them under
-	// the lock and flushes them in batched syscalls after releasing it (a
-	// retransmission that races its reply is harmless — the server dedups).
-	var dgs []transport.Datagram
+	// Frames are copied under the locks (slots reuse their buffers) and
+	// flushed in batched syscalls after; the server dedups any duplicate.
+	var (
+		bufs  [][]byte
+		dgs   []transport.Datagram
+		fails []func()
+		pass  uint64 // batch frames are resent once per pass
+	)
+	stage := func(frame []byte) {
+		if len(dgs) == len(bufs) {
+			bufs = append(bufs, nil)
+		}
+		bufs[len(dgs)] = append(bufs[len(dgs)][:0], frame...)
+		dgs = append(dgs, transport.Datagram{Buf: bufs[len(dgs)]})
+	}
 	for range tick.C {
 		if c.closed.Load() {
 			return
 		}
 		now := time.Now()
-		var expired []*pendingOp
-		var canceled []func()
-		dgs = dgs[:0]
+		dgs, fails = dgs[:0], fails[:0]
+		pass++
 		c.mu.Lock()
-		c.pass++
-		for k, op := range c.pending {
-			if now.After(op.deadline) {
-				delete(c.pending, k)
-				expired = append(expired, op)
-				continue
-			}
-			if op.ctx != nil && op.ctx.Err() != nil && op.cb != nil {
-				// Context expired: release the waiter now, but keep the
-				// op on the wire until it is acknowledged — its seq must
-				// reach the server or the session breaks.
-				cb, cause := op.cb, op.ctx.Err()
-				op.cb = nil
-				canceled = append(canceled, func() {
-					cb(Result{Err: kite.CanceledErr(cause)})
-				})
-			}
-			if op.batch != nil {
-				if op.batch.pass == c.pass {
-					continue // frame already resent this pass
-				}
-				op.batch.pass = c.pass
-				dgs = append(dgs, transport.Datagram{Buf: op.batch.frame})
-				continue
-			}
-			dgs = append(dgs, transport.Datagram{Buf: op.frame})
-		}
 		for k, op := range c.control {
 			if now.After(op.deadline) {
 				delete(c.control, k)
-				expired = append(expired, op)
+				fails = append(fails, func() { op.cb(nil, ErrTimeout) })
 				continue
 			}
-			dgs = append(dgs, transport.Datagram{Buf: op.frame})
+			stage(op.frame)
 		}
 		c.mu.Unlock()
+		for _, s := range *c.sessions.Load() {
+			s.mu.Lock()
+			for q := s.frontier + 1; q <= s.seq; q++ {
+				sl := &s.ring[q%proto.SessionWindow]
+				if !sl.pending {
+					continue
+				}
+				if now.After(sl.deadline) {
+					// The server will never see this seq again, so its
+					// in-order gate would hold back every later op: the
+					// session is unusable from here on.
+					s.broken.Store(true)
+					if cb := sl.finish(); cb != nil {
+						fails = append(fails, func() { cb(Result{Err: ErrTimeout}) })
+					}
+					continue
+				}
+				if sl.ctx != nil && sl.ctx.Err() != nil && sl.cb != nil {
+					// Context expired: release the waiter now, but keep the
+					// op on the wire until it is acknowledged — its seq must
+					// reach the server or the session breaks.
+					cb, err := sl.cb, kite.CanceledErr(sl.ctx.Err())
+					sl.cb = nil
+					fails = append(fails, func() { cb(Result{Err: err}) })
+				}
+				if b := sl.batch; b == nil {
+					stage(sl.frame)
+				} else if b.pass != pass {
+					b.pass = pass
+					stage(b.frame)
+				}
+			}
+			s.advance()
+			s.mu.Unlock()
+		}
 		if len(dgs) > 0 {
 			c.bc.WriteBatch(dgs) // nil Dest: the connected peer
 		}
-		for _, deliver := range canceled {
-			deliver()
-		}
-		for _, op := range expired {
-			if op.sess != nil {
-				// The server will never see this seq again, so its
-				// in-order gate would hold back every later op: the
-				// session is unusable from here on.
-				op.sess.broken.Store(true)
-				op.sess.completed(op.seq)
-			}
-			op.fail(ErrTimeout)
+		for _, fail := range fails {
+			fail()
 		}
 	}
-}
-
-// register installs op (or a batch of ops) and transmits the frame once
-// (retryLoop takes over). The closed check happens under the same lock
-// Close snapshots the maps with, so an op either lands in the snapshot
-// (and is failed by Close) or observes closed here — it cannot be
-// registered and then orphaned.
-func (c *Client) register(frame []byte, ops []*pendingOp, keys []pendingKey) bool {
-	c.mu.Lock()
-	if c.closed.Load() {
-		c.mu.Unlock()
-		for _, op := range ops {
-			if op.sess != nil {
-				op.sess.completed(op.seq)
-			}
-			op.fail(ErrClosed)
-		}
-		return false
-	}
-	for i, op := range ops {
-		if op.ctrlCB != nil {
-			c.control[keys[i].seq] = op
-		} else {
-			c.pending[keys[i]] = op
-		}
-	}
-	c.mu.Unlock()
-	c.conn.Write(frame)
-	return true
 }
 
 // controlRound runs one synchronous control op (ping/open/close and the
 // membership ops, which carry a node id in key). It returns the reply's
 // session id and a copy of its value.
 func (c *Client) controlRound(opCode uint8, sess uint32, key uint64, timeout time.Duration) (uint32, []byte, error) {
-	c.mu.Lock()
-	c.ctrlSeq++
-	seq := c.ctrlSeq
-	c.mu.Unlock()
-	req := proto.ClientRequest{Op: opCode, Sess: sess, Seq: seq, Key: key}
-	frame, err := req.AppendMarshal(nil)
-	if err != nil {
-		return 0, nil, err
-	}
 	type ctrlRes struct {
 		sess uint32
 		val  []byte
 		err  error
 	}
 	done := make(chan ctrlRes, 1)
-	op := &pendingOp{
-		frame:    frame,
+	op := &ctrlOp{
 		deadline: time.Now().Add(timeout),
-		ctrlCB: func(rep *proto.ClientReply, err error) {
+		cb: func(rep *proto.ClientReply, err error) {
 			var id uint32
 			var val []byte
 			if rep != nil {
@@ -566,7 +497,19 @@ func (c *Client) controlRound(opCode uint8, sess uint32, key uint64, timeout tim
 			done <- ctrlRes{sess: id, val: val, err: err}
 		},
 	}
-	c.register(frame, []*pendingOp{op}, []pendingKey{{seq: seq}})
+	// Registered under the lock Close takes the control map under: the op
+	// is either failed by Close or never registered.
+	c.mu.Lock()
+	if c.closed.Load() {
+		c.mu.Unlock()
+		return 0, nil, ErrClosed
+	}
+	c.ctrlSeq++
+	req := proto.ClientRequest{Op: opCode, Sess: sess, Seq: c.ctrlSeq, Key: key}
+	op.frame, _ = req.AppendMarshal(nil) // cannot fail: no payload
+	c.control[req.Seq] = op
+	c.mu.Unlock()
+	c.conn.Write(op.frame)
 	r := <-done
 	return r.sess, r.val, r.err
 }
@@ -579,14 +522,27 @@ func (c *Client) NewSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		c:       c,
-		id:      id,
-		window:  make(chan struct{}, c.opts.MaxInflight),
-		doneSet: make(map[uint64]struct{}),
+	s := &Session{c: c, id: id, window: make(chan struct{}, c.opts.MaxInflight)}
+	// Slot frame buffers come from one array: submissions never grow one.
+	frames := make([]byte, proto.SessionWindow*proto.MaxRequestLen)
+	for i := range s.ring {
+		s.ring[i].frame = frames[i*proto.MaxRequestLen : i*proto.MaxRequestLen : (i+1)*proto.MaxRequestLen]
 	}
 	s.Ops = kite.Ops{Doer: s}
+	c.editSessions(func(m map[uint32]*Session) { m[id] = s })
 	return s, nil
+}
+
+// editSessions installs an edited copy of the session table.
+func (c *Client) editSessions(edit func(map[uint32]*Session)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := make(map[uint32]*Session)
+	for id, s := range *c.sessions.Load() {
+		m[id] = s
+	}
+	edit(m)
+	c.sessions.Store(&m)
 }
 
 // Session is an external client's ordered stream of operations, backed by
@@ -599,11 +555,13 @@ type Session struct {
 	c  *Client
 	id uint32
 
-	mu       sync.Mutex
-	seq      uint64              // last assigned data seq
-	frontier uint64              // every seq <= frontier has completed (acked to server)
-	doneSet  map[uint64]struct{} // completed seqs above the frontier
-	window   chan struct{}       // inflight slots (backpressure)
+	mu  sync.Mutex
+	seq uint64 // last assigned data seq
+	// frontier, the ring's tail, is the ack frontier: every seq up to it
+	// is answered or expired. Frames carry frontier+1 as their Acked.
+	frontier uint64
+	ring     [proto.SessionWindow]opSlot
+	window   chan struct{} // a token per seq in (frontier, seq]; cap MaxInflight
 
 	closed atomic.Bool
 	// broken is set when a data op times out: its seq will never reach
@@ -616,7 +574,8 @@ func (s *Session) ID() uint32 { return s.id }
 
 // Close releases the session lease (best effort — a lost datagram just
 // means the lease expires on its own). Operations after Close fail with
-// kite.ErrSessionClosed.
+// kite.ErrSessionClosed; those still unanswered fail with
+// ErrSessionExpired, as they would once the server dropped the lease.
 func (s *Session) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -625,25 +584,83 @@ func (s *Session) Close() error {
 	if errors.Is(err, ErrTimeout) {
 		err = nil
 	}
+	s.c.editSessions(func(m map[uint32]*Session) { delete(m, s.id) })
+	s.failPending(ErrSessionExpired)
 	return err
 }
 
-// completed records a finished seq and advances the ack frontier.
-func (s *Session) completed(seq uint64) {
-	s.mu.Lock()
-	s.doneSet[seq] = struct{}{}
-	for {
-		if _, ok := s.doneSet[s.frontier+1]; !ok {
-			break
-		}
-		delete(s.doneSet, s.frontier+1)
+// advance moves the ack frontier past the finished slots at its head,
+// returning their window tokens. Callers hold mu.
+func (s *Session) advance() {
+	for s.frontier < s.seq && !s.ring[(s.frontier+1)%proto.SessionWindow].pending {
 		s.frontier++
+		select {
+		case <-s.window:
+		default:
+		}
 	}
+}
+
+// complete hands a data reply to its slot; a reply whose slot holds
+// another seq or is no longer pending is stale, and dropped. It runs on
+// the receive goroutine: callbacks must not block.
+func (s *Session) complete(rep *proto.ClientReply) {
+	s.mu.Lock()
+	sl := &s.ring[rep.Seq%proto.SessionWindow]
+	if sl.seq != rep.Seq || !sl.pending {
+		s.mu.Unlock()
+		return
+	}
+	cb := sl.finish()
+	s.advance()
 	s.mu.Unlock()
-	select {
-	case <-s.window:
-	default:
+	if rep.Flags&proto.ClientFlagReconfigured != 0 {
+		// The node's group reconfigured since this session last heard:
+		// refresh the membership view in the background.
+		s.c.refreshAsync()
 	}
+	if cb == nil {
+		return
+	}
+	err := statusErr(rep.Status)
+	res := Result{Swapped: rep.Flags&proto.ClientFlagSwapped != 0, Err: err}
+	if err == nil && len(rep.Value) > 0 {
+		res.Value = append([]byte(nil), rep.Value...)
+	}
+	cb(res)
+}
+
+// failPending fails every unanswered op of the session with err.
+func (s *Session) failPending(err error) {
+	var cbs []func(Result)
+	s.mu.Lock()
+	for q := s.frontier + 1; q <= s.seq; q++ {
+		if sl := &s.ring[q%proto.SessionWindow]; sl.pending {
+			cbs = append(cbs, sl.finish())
+		}
+	}
+	s.advance()
+	s.mu.Unlock()
+	for _, cb := range cbs {
+		if cb != nil {
+			cb(Result{Err: err})
+		}
+	}
+}
+
+// detach drops seq's waiter (its context expired). The op keeps
+// retransmitting until acknowledged or expired so the server's in-order
+// stream sees its seq — detaching never breaks the session. It reports
+// false when the result was already taken for delivery.
+func (s *Session) detach(seq uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sl := &s.ring[seq%proto.SessionWindow]
+	if sl.seq != seq || !sl.pending || sl.cb == nil {
+		return false
+	}
+	sl.cb = nil
+	return true
 }
 
 // submitErr reports the session-state error that should fail a submission
@@ -661,67 +678,80 @@ func (s *Session) submitErr() error {
 	}
 }
 
-// validate rejects malformed ops before a seq is consumed: a seq that is
-// assigned but never transmitted would wedge the server's in-order
-// submission for the rest of the session. The rules (and errors) are the
-// shared ones every backend enforces.
-func validate(op kite.Op) error { return kite.ValidateOp(op) }
-
-// acquireSlot takes one inflight-window slot, giving up if ctx expires
-// first.
-func (s *Session) acquireSlot(ctx context.Context) error {
-	if ctx.Done() == nil {
-		s.window <- struct{}{}
-		return nil
+// reserve takes n window tokens, then mu; on ctx expiry or a session that
+// can no longer submit (checked under mu, which Close fails slots under)
+// it gives the tokens back.
+func (s *Session) reserve(ctx context.Context, n int) error {
+	for i := 0; i < n; i++ {
+		select {
+		case s.window <- struct{}{}:
+		case <-ctx.Done():
+			s.unreserve(i)
+			return kite.CanceledErr(ctx.Err())
+		}
 	}
-	select {
-	case s.window <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return kite.CanceledErr(ctx.Err())
+	s.mu.Lock()
+	if err := s.submitErr(); err != nil {
+		s.mu.Unlock()
+		s.unreserve(n)
+		return err
+	}
+	return nil
+}
+
+func (s *Session) unreserve(n int) {
+	for i := 0; i < n; i++ {
+		<-s.window
 	}
 }
 
-// submit assigns the next seq, builds the frame and registers it with the
-// client. It blocks while the session's inflight window is full. cb is
-// invoked exactly once (possibly synchronously, on submission failure).
-func (s *Session) submit(ctx context.Context, op kite.Op, cb func(Result)) (pendingKey, bool) {
-	fail := func(err error) (pendingKey, bool) {
-		if cb != nil {
-			cb(Result{Err: err})
-		}
-		return pendingKey{}, false
-	}
-	if err := s.submitErr(); err != nil {
-		return fail(err)
-	}
-	if err := validate(op); err != nil {
-		return fail(err)
-	}
-	if err := s.acquireSlot(ctx); err != nil {
-		return fail(err)
-	}
-	req := proto.ClientRequest{
-		Op: uint8(op.Code), Key: op.Key, Delta: op.Delta,
-		Expected: op.Expected, Value: op.Value,
-	}
-	s.mu.Lock()
+// claim assigns the next seq and loads its slot; the caller holds mu and
+// the seq's window token, and sets the slot's frame or batch.
+func (s *Session) claim(ctx context.Context, cb func(Result)) *opSlot {
 	s.seq++
-	req.Sess = s.id
-	req.Seq = s.seq
-	req.Acked = s.frontier + 1
+	sl := &s.ring[s.seq%proto.SessionWindow]
+	for sl.sending.Load() {
+		runtime.Gosched() // the previous op's first send is still in progress
+	}
+	sl.seq, sl.pending, sl.batch = s.seq, true, nil
+	sl.ctx, sl.deadline, sl.cb = ctx, time.Now().Add(s.c.opts.OpTimeout), cb
+	return sl
+}
+
+// submit sends op once under the next seq (retryLoop takes over), blocking
+// while the window is full. The result goes to cb or, with own, to the
+// slot's channel, returned with the seq. An error return delivers nothing.
+func (s *Session) submit(ctx context.Context, op kite.Op, cb func(Result), own bool) (<-chan Result, uint64, error) {
+	if err := s.submitErr(); err != nil {
+		return nil, 0, err
+	}
+	// Before a seq is consumed: one never sent would wedge the server.
+	if err := kite.ValidateOp(op); err != nil {
+		return nil, 0, err
+	}
+	if err := s.reserve(ctx, 1); err != nil {
+		return nil, 0, err
+	}
+	sl := s.claim(ctx, cb)
+	if own {
+		if sl.own == nil {
+			sl.own = make(chan Result, 1)
+			sl.toOwn = func(r Result) { sl.own <- r }
+		}
+		sl.cb = sl.toOwn
+	}
+	seq, done := sl.seq, sl.own
+	req := proto.ClientRequest{
+		Op: uint8(op.Code), Sess: s.id, Seq: seq, Acked: s.frontier + 1,
+		Key: op.Key, Delta: op.Delta, Expected: op.Expected, Value: op.Value,
+	}
+	frame, _ := req.AppendMarshal(sl.frame[:0]) // cannot fail: payload sizes checked above
+	sl.frame = frame
+	sl.sending.Store(true)
 	s.mu.Unlock()
-	frame, _ := req.AppendMarshal(nil) // cannot fail: payload sizes checked above
-	key := pendingKey{sess: s.id, seq: req.Seq}
-	ok := s.c.register(frame, []*pendingOp{{
-		frame:    frame,
-		ctx:      ctx,
-		deadline: time.Now().Add(s.c.opts.OpTimeout),
-		cb:       cb,
-		sess:     s,
-		seq:      req.Seq,
-	}}, []pendingKey{key})
-	return key, ok
+	s.c.conn.Write(frame)
+	sl.sending.Store(false)
+	return done, seq, nil
 }
 
 // Do executes op and blocks until it completes or ctx is done. On context
@@ -729,24 +759,19 @@ func (s *Session) submit(ctx context.Context, op kite.Op, cb func(Result)) (pend
 // cause; the request itself stays on the wire until acknowledged or until
 // OpTimeout, so the session survives cancellation.
 func (s *Session) Do(ctx context.Context, op kite.Op) (Result, error) {
-	done := make(chan Result, 1)
-	key, registered := s.submit(ctx, op, func(r Result) { done <- r })
-	if !registered {
-		r := <-done
-		return r, r.Err
+	done, seq, err := s.submit(ctx, op, nil, true)
+	if err != nil {
+		return Result{Err: err}, err
 	}
 	select {
 	case r := <-done:
 		return r, r.Err
 	case <-ctx.Done():
-		if !s.c.detach(key) {
-			// The reply raced the cancellation; prefer the real result if
-			// it has already been delivered.
-			select {
-			case r := <-done:
-				return r, r.Err
-			default:
-			}
+		if !s.detach(seq) {
+			// The result is on its way: take it, which also leaves the
+			// slot's channel empty for its next op.
+			r := <-done
+			return r, r.Err
 		}
 		err := kite.CanceledErr(ctx.Err())
 		return Result{Err: err}, err
@@ -758,7 +783,9 @@ func (s *Session) Do(ctx context.Context, op kite.Op) (Result, error) {
 // encoded into the wire frame before DoAsync returns, so the caller may
 // reuse them immediately.
 func (s *Session) DoAsync(op kite.Op, cb func(Result)) {
-	s.submit(context.Background(), op, cb)
+	if _, _, err := s.submit(context.Background(), op, cb, false); err != nil && cb != nil {
+		cb(Result{Err: err})
+	}
 }
 
 // DoBatch pipelines ops to the server in as few datagrams as possible
@@ -774,7 +801,7 @@ func (s *Session) DoBatch(ctx context.Context, ops []kite.Op) ([]Result, error) 
 	// Validate everything before consuming any seq: batches are all-or-
 	// nothing at the submission boundary.
 	for _, op := range ops {
-		if err := validate(op); err != nil {
+		if err := kite.ValidateOp(op); err != nil {
 			return nil, err
 		}
 	}
@@ -784,81 +811,62 @@ func (s *Session) DoBatch(ctx context.Context, ops []kite.Op) ([]Result, error) 
 	}
 	done := make(chan idxRes, len(ops))
 	results := make([]Result, len(ops))
-	got := make([]bool, len(ops))
-	keys := make([]pendingKey, 0, len(ops))
+	seqs := make([]uint64, 0, len(ops)) // seqs[i] is op i's
 
-	chunkMax := proto.MaxBatchOps
-	if chunkMax > s.c.opts.MaxInflight {
-		chunkMax = s.c.opts.MaxInflight
-	}
-
-	submitted := 0
+	chunkMax := min(proto.MaxBatchOps, s.c.opts.MaxInflight)
 	for base := 0; base < len(ops); {
-		n, ks, err := s.submitChunk(ctx, ops, base, chunkMax, func(i int, r Result) {
+		n, err := s.submitChunk(ctx, ops, base, chunkMax, &seqs, func(i int, r Result) {
 			done <- idxRes{i: i, r: r}
 		})
-		keys = append(keys, ks...)
-		submitted += n
 		base += n
 		if err != nil {
 			// Ops never submitted fail with the submission error; the
 			// already-submitted prefix is collected below.
 			for i := base; i < len(ops); i++ {
-				results[i], got[i] = Result{Err: err}, true
+				results[i] = Result{Err: err}
 			}
 			break
 		}
 	}
 
-	for n := 0; n < submitted; {
+	// On ctx expiry the ops stay on the wire (see Do); results already on
+	// their way are still taken.
+	var cerr error
+	canceled := ctx.Done()
+	for left := len(seqs); left > 0; {
 		select {
 		case x := <-done:
-			results[x.i], got[x.i] = x.r, true
-			n++
-		case <-ctx.Done():
-			// Release the wait; the submitted ops stay on the wire (see
-			// Do). Drain completions that raced in, mark the rest.
-			for _, k := range keys {
-				s.c.detach(k)
-			}
-			for n < submitted {
-				select {
-				case x := <-done:
-					results[x.i], got[x.i] = x.r, true
-					n++
-					continue
-				default:
-				}
-				break
-			}
-			cerr := kite.CanceledErr(ctx.Err())
-			for i := range results {
-				if !got[i] {
+			results[x.i] = x.r
+			left--
+		case <-canceled:
+			canceled, cerr = nil, kite.CanceledErr(ctx.Err())
+			for i, seq := range seqs {
+				if s.detach(seq) {
 					results[i] = Result{Err: cerr}
+					left--
 				}
 			}
-			return results, cerr
 		}
 	}
-	return results, firstBatchErr(results)
-}
-
-func firstBatchErr(results []Result) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
+	if cerr != nil {
+		return results, cerr
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			return results, r.Err
 		}
 	}
-	return nil
+	return results, nil
 }
 
 // submitChunk packs ops[base:] into one batch frame — bounded by chunkMax
-// ops, the frame-size budget, and the inflight window — assigns their
-// seqs and registers them as one retransmission group. It returns how many
-// ops it submitted; cb receives (absolute index, result) per op.
-func (s *Session) submitChunk(ctx context.Context, ops []kite.Op, base, chunkMax int, cb func(int, Result)) (int, []pendingKey, error) {
+// ops, the frame-size budget, and the window — assigns their seqs
+// (appended to seqs) and sends the frame once; the chunk's ops share it
+// for retransmission. It returns how many ops it submitted; cb receives
+// (absolute index, result) per op.
+func (s *Session) submitChunk(ctx context.Context, ops []kite.Op, base, chunkMax int, seqs *[]uint64, cb func(int, Result)) (int, error) {
 	if err := s.submitErr(); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	// Pack by count and frame budget.
 	n, size := 0, proto.BatchOverhead
@@ -870,15 +878,6 @@ func (s *Session) submitChunk(ctx context.Context, ops []kite.Op, base, chunkMax
 		size += opLen
 		n++
 	}
-	// Acquire one window slot per op before assigning seqs.
-	for i := 0; i < n; i++ {
-		if err := s.acquireSlot(ctx); err != nil {
-			for j := 0; j < i; j++ { // return the slots we took
-				<-s.window
-			}
-			return 0, nil, err
-		}
-	}
 	b := proto.ClientBatch{Sess: s.id, Ops: make([]proto.BatchOp, n)}
 	for i := 0; i < n; i++ {
 		op := ops[base+i]
@@ -887,34 +886,21 @@ func (s *Session) submitChunk(ctx context.Context, ops []kite.Op, base, chunkMax
 			Expected: op.Expected, Value: op.Value,
 		}
 	}
-	s.mu.Lock()
-	b.Seq = s.seq + 1
-	s.seq += uint64(n)
-	b.Acked = s.frontier + 1
-	s.mu.Unlock()
-	frame, err := b.AppendMarshal(nil)
-	if err != nil { // cannot happen: ops validated by DoBatch
-		for j := 0; j < n; j++ {
-			<-s.window
-		}
-		return 0, nil, err
+	if err := s.reserve(ctx, n); err != nil {
+		return 0, err
 	}
+	b.Seq, b.Acked = s.seq+1, s.frontier+1
+	frame, _ := b.AppendMarshal(nil) // cannot fail: ops validated by DoBatch
 	group := &batchGroup{frame: frame}
-	pend := make([]*pendingOp, n)
-	keys := make([]pendingKey, n)
-	deadline := time.Now().Add(s.c.opts.OpTimeout)
 	for i := 0; i < n; i++ {
 		idx := base + i
-		seq := b.Seq + uint64(i)
-		pend[i] = &pendingOp{
-			frame: frame, batch: group, ctx: ctx, deadline: deadline,
-			cb:   func(r Result) { cb(idx, r) },
-			sess: s, seq: seq,
-		}
-		keys[i] = pendingKey{sess: s.id, seq: seq}
+		sl := s.claim(ctx, func(r Result) { cb(idx, r) })
+		sl.batch = group
+		*seqs = append(*seqs, sl.seq)
 	}
-	s.c.register(frame, pend, keys)
-	return n, keys, nil
+	s.mu.Unlock()
+	s.c.conn.Write(frame)
+	return n, nil
 }
 
 // EncodeUint64 encodes a counter value in Kite's FAA/CAS convention

@@ -399,6 +399,106 @@ func TestE2EDroppedRepliesRetry(t *testing.T) {
 	}
 }
 
+// TestE2ELostReplyHoldsWindow: the reply to one FAA is lost while the
+// session keeps issuing 2×MaxInflight async writes. The window is counted
+// from the ack frontier, which the unanswered FAA holds, so submissions
+// wait for its retransmission rather than run past the server's window:
+// every op completes, the FAA executes once, and the server drops nothing.
+func TestE2ELostReplyHoldsWindow(t *testing.T) {
+	cl := startCluster(t, 3)
+	proxy := newLossyProxy(t, cl.Addr(0), 1)
+
+	// The widest window the server allows: a client counting its window
+	// any other way than from the frontier would send past Acked+window.
+	const maxInflight = proto.SessionWindow
+	opts := testOpts()
+	opts.RetryInterval = 30 * time.Millisecond
+	opts.MaxInflight = maxInflight
+	c, err := client.Dial(proxy.addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faa := make(chan client.Result, 1)
+	s.DoAsync(kite.FAAOp(42, 5), func(r client.Result) { faa <- r })
+	const writes = 2 * maxInflight
+	errs := make(chan error, writes)
+	for i := uint64(0); i < writes; i++ {
+		s.DoAsync(kite.WriteOp(100+i, []byte{byte(i)}), func(r client.Result) { errs <- r.Err })
+	}
+	if r := <-faa; r.Err != nil || client.DecodeUint64(r.Value) != 0 {
+		t.Fatalf("faa behind a lost reply: %+v", r)
+	}
+	for i := 0; i < writes; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	if old, err := s.FAA(42, 0); err != nil || old != 5 {
+		t.Fatalf("counter = %d, %v; want 5 (executed once)", old, err)
+	}
+	st := cl.Server(0).Stats()
+	if st.Retransmits.Load() == 0 {
+		t.Fatal("server saw no retransmits — proxy dropped nothing?")
+	}
+	if got := st.WindowDrops.Load(); got != 0 {
+		t.Fatalf("WindowDrops = %d, want 0: the client sent past its window", got)
+	}
+}
+
+// TestE2EConcurrentSubmitters: goroutines sharing one session through a
+// lossy link, past a full turn of the session's ring, so slots are reused
+// while other submitters, the receive loop and retransmissions touch the
+// ring. Each goroutine's FAAs on its own counter must see their own
+// earlier increments in order, exactly once each.
+func TestE2EConcurrentSubmitters(t *testing.T) {
+	cl := startCluster(t, 3)
+	proxy := newLossyProxy(t, cl.Addr(0), 20)
+	opts := testOpts()
+	opts.RetryInterval = 20 * time.Millisecond
+	c, err := client.Dial(proxy.addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines, perG = 4, 100 // 400 ops: more than one ring turn
+	var wg sync.WaitGroup
+	for g := uint64(0); g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := 500 + g
+			for i := uint64(0); i < perG; i++ {
+				if i%2 == 0 {
+					old, err := s.FAA(key, 1)
+					if err != nil || old != i/2 {
+						t.Errorf("goroutine %d: faa %d old = %d, %v; want %d", g, i, old, err, i/2)
+						return
+					}
+					continue
+				}
+				done := make(chan client.Result, 1)
+				s.DoAsync(kite.WriteOp(600+g, []byte{byte(i)}), func(r client.Result) { done <- r })
+				if r := <-done; r.Err != nil {
+					t.Errorf("goroutine %d: write: %v", g, r.Err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestE2EOversizedValue: an oversized payload is rejected client-side
 // without consuming a sequence number, so the session keeps working (a
 // swallowed seq would wedge the server's in-order submission forever).

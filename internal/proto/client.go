@@ -117,6 +117,13 @@ const (
 	ClientFlagReconfigured
 )
 
+// SessionWindow is the width of a client session's window, in seqs: a
+// session server accepts a data op only when its seq is below Acked +
+// SessionWindow, and the client never sends one at or beyond that bound.
+// Each end keeps the session's in-flight ops in a ring of SessionWindow
+// slots indexed by seq mod SessionWindow.
+const SessionWindow = 256
+
 // ClientRequest is one operation sent by an external client to a node's
 // session server.
 type ClientRequest struct {
@@ -141,6 +148,9 @@ type ClientRequest struct {
 }
 
 const clientReqHeaderLen = 1 + 1 + 1 + 1 + 4 + 8 + 8 + 8 + 8
+
+// MaxRequestLen is the largest encoded ClientRequest.
+const MaxRequestLen = clientReqHeaderLen + 2*MaxValueLen
 
 // AppendMarshal appends the wire encoding of r to dst.
 func (r *ClientRequest) AppendMarshal(dst []byte) ([]byte, error) {
@@ -195,9 +205,9 @@ func (r *ClientRequest) Unmarshal(b []byte) error {
 
 // Batched client requests. A ClientBatch carries up to MaxBatchOps data
 // operations in a single datagram; the op at index i has sequence number
-// Seq+i, so the server's in-order submission, dedup and reply cache treat
-// the batch exactly as if its ops had arrived as consecutive individual
-// frames. One wire frame per batch on the request path is the DoBatch
+// Seq+i, so the server's in-order submission, dedup and session window
+// treat the batch exactly as if its ops had arrived as consecutive
+// individual frames. One wire frame per batch on the request path is the DoBatch
 // round-trip win; replies stay per-op so loss of one reply costs one
 // retransmission, not the batch.
 //
@@ -275,7 +285,8 @@ func (b *ClientBatch) AppendMarshal(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal decodes one batch frame from buf. Op payloads alias buf.
+// Unmarshal decodes one batch frame from buf. Op payloads alias buf; Ops
+// reuses b's slice when its capacity suffices.
 func (b *ClientBatch) Unmarshal(buf []byte) error {
 	if len(buf) < clientBatchHeaderLen {
 		return ErrShortBuffer
@@ -291,7 +302,11 @@ func (b *ClientBatch) Unmarshal(buf []byte) error {
 	b.Sess = binary.LittleEndian.Uint32(buf[4:])
 	b.Seq = binary.LittleEndian.Uint64(buf[8:])
 	b.Acked = binary.LittleEndian.Uint64(buf[16:])
-	b.Ops = make([]BatchOp, count)
+	if cap(b.Ops) >= count {
+		b.Ops = b.Ops[:count] // reuse the caller's op slice
+	} else {
+		b.Ops = make([]BatchOp, count)
+	}
 	off := clientBatchHeaderLen
 	for i := 0; i < count; i++ {
 		if len(buf) < off+clientBatchOpHeaderLen {

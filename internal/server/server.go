@@ -6,18 +6,19 @@
 // The client link has the same contract as the replica-to-replica transport:
 // unreliable datagrams, one frame per packet. Reliability lives at the
 // edges — the client library (package kite/client) retransmits requests, and
-// the server keeps a per-session cache of completed replies so a
-// retransmitted request is answered from the cache instead of re-executed
-// (exactly-once per (session, seq)). Because datagrams can also reorder, the
-// server submits a session's data ops strictly in client sequence order,
-// holding back frames that arrive early.
+// the server keeps each session's window of ops in a ring of
+// proto.SessionWindow slots indexed by seq: a completed slot answers a
+// retransmitted request instead of re-executing it (exactly-once per
+// (session, seq)). Because datagrams can also reorder, the server submits a
+// session's data ops strictly in client sequence order, holding back frames
+// that arrive early in their slots.
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,16 +62,16 @@ const (
 	DefaultReplyDepth   = 4096
 )
 
-// maxHeldOut bounds how many reordered (future-seq) requests a session
-// buffers; beyond that early frames are dropped and the client retries.
-const maxHeldOut = 256
-
 // Stats counts server-level events.
 type Stats struct {
-	Requests       atomic.Uint64 // well-formed frames received
-	BatchedOps     atomic.Uint64 // data ops that arrived inside batch frames
-	Retransmits    atomic.Uint64 // duplicate requests answered from cache
-	Held           atomic.Uint64 // reordered requests buffered for in-order submit
+	Requests    atomic.Uint64 // well-formed frames received
+	BatchedOps  atomic.Uint64 // data ops that arrived inside batch frames
+	Retransmits atomic.Uint64 // duplicate requests answered from their done slot
+	Held        atomic.Uint64 // reordered requests buffered for in-order submit
+	// WindowDrops counts data ops dropped at or beyond Acked +
+	// proto.SessionWindow, or onto a slot whose op still runs. The client
+	// library never sends one: nonzero means a misbehaving client.
+	WindowDrops    atomic.Uint64
 	Replies        atomic.Uint64 // replies sent
 	DroppedReplies atomic.Uint64 // replies dropped on queue overflow
 	Expired        atomic.Uint64 // sessions reclaimed by lease timeout
@@ -98,13 +99,17 @@ type Server struct {
 	stopJan chan struct{}
 }
 
+// outReply is one queued reply. Its value travels in val, by copy: a
+// session slot can be reused as soon as the client acks its reply.
 type outReply struct {
 	dest *transport.UDPDest
-	rep  proto.ClientReply
+	rep  proto.ClientReply // Value unset
+	val  [proto.MaxValueLen]byte
+	vlen uint8
 }
 
 type openKey struct {
-	addr string
+	addr netip.AddrPort
 	seq  uint64
 }
 
@@ -113,33 +118,45 @@ type openEntry struct {
 	when time.Time
 }
 
-// clientSession is one leased node session plus the bridging state that
-// makes the lossy client link exactly-once and in-order.
+// clientSession is one leased node session plus its window, the ring that
+// makes the lossy client link exactly-once and in-order: seq q lives in
+// ring[q % SessionWindow], and slots below acked are free by definition.
+// A ring is never reused: a released lease's requests complete into it.
 type clientSession struct {
 	id uint32
 	cs *core.Session
 
 	mu         sync.Mutex
-	addr       *net.UDPAddr       // latest client address; replies go here
+	addr       netip.AddrPort     // latest client address; replies go here
 	dest       *transport.UDPDest // addr with its precomputed raw sockaddr
+	acked      uint64             // the client holds every reply below this seq
 	nextSeq    uint64             // next data-op seq to submit to the core session
-	heldOut    map[uint64]heldReq
-	inflight   map[uint64]struct{}
-	done       map[uint64]proto.ClientReply // completed replies kept for retransmits
 	lastActive time.Time
 	// epoch is the node's membership epoch this session last observed.
 	// When the node's installed epoch moves past it, the next data reply
 	// carries ClientFlagReconfigured (once per change) so the client
 	// re-pings for the new membership.
 	epoch uint32
+	ring  [proto.SessionWindow]slot
 }
 
-type heldReq struct {
-	op       uint8
-	key      uint64
-	delta    uint64
-	expected []byte
-	value    []byte
+type slotState uint8
+
+const (
+	slotHeld     slotState = iota + 1 // arrived ahead of nextSeq (0: never used)
+	slotInflight                      // submitted to the core session
+	slotDone                          // completed: answers retransmissions
+)
+
+// slot owns its core.Request, as kite's pooled calls do: Val and Expected
+// point into its buffers, Done is bound once, and a done slot's cached
+// reply reads its value from the request's Out.
+type slot struct {
+	seq      uint64
+	state    slotState
+	rep      proto.ClientReply // once done
+	req      core.Request
+	val, exp [proto.MaxValueLen]byte
 }
 
 // New binds the UDP socket and starts the server's goroutines. The node may
@@ -243,18 +260,18 @@ func (s *Server) Close() error {
 func (s *Server) recvLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, 2048)
+	var b proto.ClientBatch // its Ops slice is reused across frames
 	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
+		n, ap, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
 		if n > 0 && buf[0] == proto.ClientOpBatch {
-			var b proto.ClientBatch
 			if b.Unmarshal(buf[:n]) != nil {
 				continue // corrupt datagram: drop, like a bad checksum
 			}
 			s.stats.Requests.Add(1)
-			s.handleBatch(&b, raddr)
+			s.handleBatch(&b, ap)
 			continue
 		}
 		var req proto.ClientRequest
@@ -262,7 +279,7 @@ func (s *Server) recvLoop() {
 			continue // corrupt datagram: drop, like a bad checksum
 		}
 		s.stats.Requests.Add(1)
-		s.handle(&req, raddr)
+		s.handle(&req, ap)
 	}
 }
 
@@ -318,12 +335,14 @@ func (s *Server) sendLoop() {
 		}
 		dgs = dgs[:0]
 		for i := range pending {
-			b, err := pending[i].rep.AppendMarshal(bufs[len(dgs)][:0])
+			out := &pending[i]
+			out.rep.Value = out.val[:out.vlen]
+			b, err := out.rep.AppendMarshal(bufs[len(dgs)][:0])
 			if err != nil {
 				continue
 			}
 			bufs[len(dgs)] = b
-			dgs = append(dgs, transport.Datagram{Buf: b, Dest: pending[i].dest})
+			dgs = append(dgs, transport.Datagram{Buf: b, Dest: out.dest})
 		}
 		if len(dgs) > 0 {
 			n, _ := s.bc.WriteBatch(dgs)
@@ -332,56 +351,55 @@ func (s *Server) sendLoop() {
 	}
 }
 
-// reply queues a reply datagram; full queue drops it (the client retries).
+// reply queues a reply datagram, copying its value into the queue element;
+// a full queue drops it (the client retries).
 func (s *Server) reply(dest *transport.UDPDest, rep proto.ClientReply) {
 	if s.closed.Load() {
 		return
 	}
+	out := outReply{dest: dest, rep: rep}
+	out.vlen, out.rep.Value = uint8(copy(out.val[:], rep.Value)), nil
 	select {
-	case s.replyCh <- outReply{dest: dest, rep: rep}:
+	case s.replyCh <- out:
 	default:
 		s.stats.DroppedReplies.Add(1)
 	}
 }
 
-// sameUDPAddr reports whether two addresses refer to the same endpoint
-// without allocating (unlike comparing String() forms).
-func sameUDPAddr(a, b *net.UDPAddr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
+// udpDest builds the reply destination for a datagram's source address.
+func udpDest(ap netip.AddrPort) *transport.UDPDest {
+	return transport.NewUDPDest(net.UDPAddrFromAddrPort(ap))
 }
 
-func (s *Server) handle(req *proto.ClientRequest, raddr *net.UDPAddr) {
+func (s *Server) handle(req *proto.ClientRequest, ap netip.AddrPort) {
 	switch req.Op {
 	case proto.ClientOpPing:
 		nd := s.node()
 		v := nd.View()
-		s.reply(transport.NewUDPDest(raddr), proto.ClientReply{
+		s.reply(udpDest(ap), proto.ClientReply{
 			Status: proto.ClientOK, Flags: proto.ClientFlagControl, Seq: req.Seq,
 			Value: proto.AppendNodeInfo(nil, s.cfg.Groups, s.cfg.Group, v.Epoch, v.Members),
 		})
 	case proto.ClientOpJoin:
-		s.handleReconfig(req, raddr, true)
+		s.handleReconfig(req, ap, true)
 	case proto.ClientOpRemove:
-		s.handleReconfig(req, raddr, false)
+		s.handleReconfig(req, ap, false)
 	case proto.ClientOpOpen:
-		s.handleOpen(req, raddr)
+		s.handleOpen(req, ap)
 	case proto.ClientOpClose:
 		s.release(req.Sess)
-		s.reply(transport.NewUDPDest(raddr), proto.ClientReply{
+		s.reply(udpDest(ap), proto.ClientReply{
 			Status: proto.ClientOK, Flags: proto.ClientFlagControl,
 			Sess: req.Sess, Seq: req.Seq,
 		})
 	default:
-		s.handleData(req, raddr)
+		s.handleData(req, ap)
 	}
 }
 
-func (s *Server) handleOpen(req *proto.ClientRequest, raddr *net.UDPAddr) {
-	dest := transport.NewUDPDest(raddr)
-	key := openKey{addr: raddr.String(), seq: req.Seq}
+func (s *Server) handleOpen(req *proto.ClientRequest, ap netip.AddrPort) {
+	dest := udpDest(ap)
+	key := openKey{addr: ap, seq: req.Seq}
 	s.mu.Lock()
 	if e, ok := s.opens[key]; ok {
 		s.mu.Unlock()
@@ -400,12 +418,13 @@ func (s *Server) handleOpen(req *proto.ClientRequest, raddr *net.UDPAddr) {
 	s.free = s.free[:len(s.free)-1]
 	s.nextID++ // ids start at 1 and are never reused, so stale frames miss
 	sess := &clientSession{
-		id: s.nextID, cs: cs, addr: raddr, dest: dest, nextSeq: 1,
-		heldOut:    make(map[uint64]heldReq),
-		inflight:   make(map[uint64]struct{}),
-		done:       make(map[uint64]proto.ClientReply),
+		id: s.nextID, cs: cs, addr: ap, dest: dest, acked: 1, nextSeq: 1,
 		lastActive: time.Now(),
 		epoch:      s.nd.ConfigEpoch(),
+	}
+	for i := range sess.ring {
+		sl := &sess.ring[i]
+		sl.req.Done = func(r *core.Request) { s.done(sess, sl, r) }
 	}
 	s.sessions[sess.id] = sess
 	rep := proto.ClientReply{
@@ -449,7 +468,7 @@ func (s *Server) node() *core.Node {
 // goroutines from client retransmissions are harmless — the underlying
 // reconfiguration is idempotent and every goroutine replies (the client
 // keeps the first).
-func (s *Server) handleReconfig(req *proto.ClientRequest, raddr *net.UDPAddr, add bool) {
+func (s *Server) handleReconfig(req *proto.ClientRequest, ap netip.AddrPort, add bool) {
 	nd := s.node()
 	id, seq := uint8(req.Key), req.Seq
 	go func() {
@@ -469,29 +488,31 @@ func (s *Server) handleReconfig(req *proto.ClientRequest, raddr *net.UDPAddr, ad
 		if err != nil {
 			rep.Status, rep.Value = proto.ClientErrConflict, nil
 		}
-		s.reply(transport.NewUDPDest(raddr), rep)
+		s.reply(udpDest(ap), rep)
 	}()
 }
 
 // handleBatch unrolls a batch frame: op i is exactly an individual request
-// with seq b.Seq+i, so the in-order gate, dedup and reply cache need no
+// with seq b.Seq+i, so the in-order gate, dedup and window need no
 // batch-specific cases — a retransmitted batch is answered per-op from the
-// cache, a reordered one is held per-op until its gap fills.
-func (s *Server) handleBatch(b *proto.ClientBatch, raddr *net.UDPAddr) {
+// ring, a reordered one is held per-op until its gap fills.
+func (s *Server) handleBatch(b *proto.ClientBatch, ap netip.AddrPort) {
 	s.stats.BatchedOps.Add(uint64(len(b.Ops)))
 	for i, op := range b.Ops {
 		req := proto.ClientRequest{
 			Op: op.Code, Sess: b.Sess, Seq: b.Seq + uint64(i), Acked: b.Acked,
 			Key: op.Key, Delta: op.Delta, Expected: op.Expected, Value: op.Value,
 		}
-		s.handleData(&req, raddr)
+		s.handleData(&req, ap)
 	}
 }
 
-func (s *Server) handleData(req *proto.ClientRequest, raddr *net.UDPAddr) {
+// handleData places one data op in its session's window. Only the receive
+// loop loads slots; the core session owns a slot's request until Done.
+func (s *Server) handleData(req *proto.ClientRequest, ap netip.AddrPort) {
 	sess := s.lookup(req.Sess)
 	if sess == nil {
-		s.reply(transport.NewUDPDest(raddr), proto.ClientReply{
+		s.reply(udpDest(ap), proto.ClientReply{
 			Status: proto.ClientErrNoSession, Sess: req.Sess, Seq: req.Seq,
 		})
 		return
@@ -500,108 +521,95 @@ func (s *Server) handleData(req *proto.ClientRequest, raddr *net.UDPAddr) {
 	sess.mu.Lock()
 	// The precomputed destination is rebuilt only when the client's address
 	// actually moved, so the steady-state data path reuses it per reply.
-	if sess.dest == nil || !sameUDPAddr(sess.addr, raddr) {
-		sess.dest = transport.NewUDPDest(raddr)
+	if sess.addr != ap {
+		sess.addr, sess.dest = ap, udpDest(ap)
 	}
-	sess.addr = raddr
 	sess.lastActive = time.Now()
-	// The client has every reply below Acked; drop them from the cache.
-	for seq := range sess.done {
-		if seq < req.Acked {
-			delete(sess.done, seq)
-		}
+	// The client holds every reply below Acked, so none past nextSeq.
+	if req.Acked > sess.acked {
+		sess.acked = min(req.Acked, sess.nextSeq)
 	}
-	if rep, ok := sess.done[req.Seq]; ok {
-		// Retransmitted request whose reply may have been lost: answer
-		// from the cache without re-executing.
-		dest := sess.dest
-		sess.mu.Unlock()
-		s.stats.Retransmits.Add(1)
-		s.reply(dest, rep)
+	seq := req.Seq
+	if seq < sess.acked {
+		sess.mu.Unlock() // acked straggler: its slot may hold a later seq
 		return
 	}
-	if _, ok := sess.inflight[req.Seq]; ok || req.Seq < sess.nextSeq {
-		// Already executing (reply will come), or completed and acked
-		// (a straggler duplicate): ignore.
+	sl := &sess.ring[seq%proto.SessionWindow]
+	if seq >= sess.acked+proto.SessionWindow || (sl.seq != seq && sl.state == slotInflight) {
+		// Beyond the window, or onto a slot whose earlier op still runs
+		// (a client acking replies it never got): drop, the client retries.
 		sess.mu.Unlock()
+		s.stats.WindowDrops.Add(1)
 		return
 	}
-	if req.Seq > sess.nextSeq {
-		// Reordered arrival: buffer until the gap fills. Payloads alias
-		// the recv buffer, so copy them out.
-		if len(sess.heldOut) < maxHeldOut {
-			sess.heldOut[req.Seq] = heldReq{
-				op: req.Op, key: req.Key, delta: req.Delta,
-				expected: bytes.Clone(req.Expected), value: bytes.Clone(req.Value),
-			}
-			s.stats.Held.Add(1)
+	if sl.seq == seq {
+		// A retransmission: a done slot answers it again without
+		// re-executing; a held or executing one answers when it completes.
+		if sl.state == slotDone {
+			s.stats.Retransmits.Add(1)
+			s.reply(sess.dest, sl.rep)
 		}
 		sess.mu.Unlock()
 		return
 	}
-	// req.Seq == nextSeq: submit it, then drain any buffered successors.
-	submits := []heldReq{{
-		op: req.Op, key: req.Key, delta: req.Delta,
-		expected: bytes.Clone(req.Expected), value: bytes.Clone(req.Value),
-	}}
-	seqs := []uint64{req.Seq}
-	sess.inflight[req.Seq] = struct{}{}
-	sess.nextSeq++
+	// A new seq at or after nextSeq: copy it out of the receive buffer.
+	sl.seq, sl.state = seq, slotHeld
+	r := &sl.req
+	r.Code, r.Key, r.Delta = core.OpCode(req.Op), req.Key, req.Delta
+	r.Val, r.Expected = append(sl.val[:0], req.Value...), append(sl.exp[:0], req.Expected...)
+	r.Out, r.Swapped, r.Err = nil, false, nil
+	if seq > sess.nextSeq {
+		// Reordered arrival: held until the gap fills.
+		sess.mu.Unlock()
+		s.stats.Held.Add(1)
+		return
+	}
+	// seq == nextSeq: submit it and every held successor, in order.
+	first := sess.nextSeq
 	for {
-		h, ok := sess.heldOut[sess.nextSeq]
-		if !ok {
+		next := &sess.ring[sess.nextSeq%proto.SessionWindow]
+		if next.seq != sess.nextSeq || next.state != slotHeld {
 			break
 		}
-		delete(sess.heldOut, sess.nextSeq)
-		sess.inflight[sess.nextSeq] = struct{}{}
-		submits = append(submits, h)
-		seqs = append(seqs, sess.nextSeq)
+		next.state = slotInflight
 		sess.nextSeq++
 	}
+	last := sess.nextSeq
 	sess.mu.Unlock()
 
-	for i, h := range submits {
-		s.submit(sess, seqs[i], h)
+	// Submit may block when the worker's admission queue is full — that
+	// stalls the recv loop and lets excess client datagrams drop at the
+	// socket, which is exactly the backpressure story of the rest of the
+	// system.
+	for q := first; q < last; q++ {
+		sess.cs.Submit(&sess.ring[q%proto.SessionWindow].req)
 	}
 }
 
-// submit bridges one data op onto the core session. Submit may block when
-// the worker's admission queue is full — that stalls the recv loop and lets
-// excess client datagrams drop at the socket, which is exactly the
-// backpressure story of the rest of the system.
-func (s *Server) submit(sess *clientSession, seq uint64, h heldReq) {
-	r := &core.Request{
-		Code: core.OpCode(h.op), Key: h.key, Delta: h.delta,
-		Expected: h.expected, Val: h.value,
-	}
-	r.Done = func(r *core.Request) {
-		rep := proto.ClientReply{Status: proto.ClientOK, Sess: sess.id, Seq: seq}
-		if r.Err != nil {
-			rep.Status = proto.ClientErrStopped
-			if errors.Is(r.Err, core.ErrReservedKey) {
-				rep.Status = proto.ClientErrReservedKey
-			}
-		} else {
-			rep.Value = bytes.Clone(r.Out)
-			if r.Swapped {
-				rep.Flags |= proto.ClientFlagSwapped
-			}
+// done is a slot request's Done, bound once per slot: it caches the reply
+// in the slot and queues it. reply copies the value out under sess.mu,
+// before the slot can be reused.
+func (s *Server) done(sess *clientSession, sl *slot, r *core.Request) {
+	rep := proto.ClientReply{Status: proto.ClientOK, Sess: sess.id, Seq: sl.seq, Value: r.Out}
+	if r.Err != nil {
+		rep.Status, rep.Value = proto.ClientErrStopped, nil
+		if errors.Is(r.Err, core.ErrReservedKey) {
+			rep.Status = proto.ClientErrReservedKey
 		}
-		cur := s.node().ConfigEpoch()
-		sess.mu.Lock()
-		if cur != sess.epoch {
-			// One-shot notification per epoch change: the client re-pings
-			// for the new membership when it sees the flag.
-			sess.epoch = cur
-			rep.Flags |= proto.ClientFlagReconfigured
-		}
-		delete(sess.inflight, seq)
-		sess.done[seq] = rep
-		dest := sess.dest
-		sess.mu.Unlock()
-		s.reply(dest, rep)
+	} else if r.Swapped {
+		rep.Flags |= proto.ClientFlagSwapped
 	}
-	sess.cs.Submit(r)
+	cur := s.node().ConfigEpoch()
+	sess.mu.Lock()
+	if cur != sess.epoch {
+		// One-shot notification per epoch change: the client re-pings
+		// for the new membership when it sees the flag.
+		sess.epoch = cur
+		rep.Flags |= proto.ClientFlagReconfigured
+	}
+	sl.state, sl.rep = slotDone, rep
+	s.reply(sess.dest, rep)
+	sess.mu.Unlock()
 }
 
 // janitor expires sessions whose client went silent, returning them to the

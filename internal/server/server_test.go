@@ -239,7 +239,7 @@ func TestServerBatchRetransmitDedupes(t *testing.T) {
 		},
 	}
 	// Original plus two retransmissions; each waits for its replies so the
-	// retransmits hit the reply cache rather than the still-inflight
+	// retransmits hit their done slots rather than the still-inflight
 	// ignore path. Every reply must answer from the same exactly-once
 	// execution: seq 1 -> old 0, seq 2 -> old 1.
 	for i := 0; i < 3; i++ {
@@ -366,23 +366,70 @@ func TestServerAckPrunesCache(t *testing.T) {
 
 	rc.send(proto.ClientRequest{Op: proto.ClientOpWrite, Sess: sess, Seq: 1, Key: 1, Value: []byte("a")})
 	rc.recv()
-	// Acked=2 tells the server seq 1's reply arrived; its cache entry must
-	// go, so a (buggy, never happens with the real client) retransmit of
-	// seq 1 is silently ignored rather than re-executed.
+	// Acked=2 tells the server seq 1's reply arrived; its slot is free
+	// from then on, so a (buggy, never happens with the real client)
+	// retransmit of seq 1 is silently ignored rather than re-executed or
+	// answered.
 	rc.send(proto.ClientRequest{Op: proto.ClientOpWrite, Sess: sess, Seq: 2, Acked: 2, Key: 1, Value: []byte("b")})
 	rc.recv()
 
-	cs := srv.lookup(sess)
-	cs.mu.Lock()
-	_, cached := cs.done[1]
-	cs.mu.Unlock()
-	if cached {
-		t.Fatal("acked reply still cached")
-	}
 	rc.send(proto.ClientRequest{Op: proto.ClientOpWrite, Sess: sess, Seq: 1, Key: 1, Value: []byte("a")})
 	rc.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 	buf := make([]byte, 256)
 	if n, _ := rc.conn.Read(buf); n > 0 {
 		t.Fatal("stale acked retransmit was answered")
+	}
+}
+
+// TestServerWindowDropsBeyondAcked: a data frame at Acked+SessionWindow
+// would share a slot with a seq the client has not acknowledged, so it is
+// dropped and counted, with no reply. Once Acked advances, the same frame
+// is inside the window and executes exactly once.
+func TestServerWindowDropsBeyondAcked(t *testing.T) {
+	_, srv := startNode(t, Config{})
+	rc := dialRaw(t, srv.Addr())
+	sess := rc.open()
+
+	// Fill the window: seqs 1..SessionWindow, none acknowledged.
+	for seq := uint64(1); seq <= proto.SessionWindow; seq += proto.MaxBatchOps {
+		b := proto.ClientBatch{Sess: sess, Seq: seq, Acked: 1}
+		for i := 0; i < proto.MaxBatchOps; i++ {
+			b.Ops = append(b.Ops, proto.BatchOp{Code: proto.ClientOpWrite, Key: 1, Value: []byte("w")})
+		}
+		rc.sendBatch(b)
+		for i := 0; i < proto.MaxBatchOps; i++ {
+			if rep := rc.recv(); rep.Status != proto.ClientOK {
+				t.Fatalf("write reply: %+v", rep)
+			}
+		}
+	}
+
+	beyond := uint64(1 + proto.SessionWindow)
+	faa := proto.ClientRequest{Op: proto.ClientOpFAA, Sess: sess, Seq: beyond, Acked: 1, Key: 9, Delta: 5}
+	rc.send(faa)
+	rc.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	buf := make([]byte, 256)
+	if n, _ := rc.conn.Read(buf); n > 0 {
+		t.Fatal("frame beyond the window was answered")
+	}
+	if got := srv.Stats().WindowDrops.Load(); got != 1 {
+		t.Fatalf("WindowDrops = %d, want 1", got)
+	}
+
+	// Acked=2: seq 1's reply arrived, its slot is free for seq 257.
+	faa.Acked = 2
+	for i := 0; i < 2; i++ { // the second send is a retransmission
+		rc.send(faa)
+		rep := rc.recv()
+		if rep.Status != proto.ClientOK || rep.Seq != beyond || core.DecodeUint64(rep.Value) != 0 {
+			t.Fatalf("faa in window, send %d: %+v", i, rep)
+		}
+	}
+	rc.send(proto.ClientRequest{Op: proto.ClientOpFAA, Sess: sess, Seq: beyond + 1, Acked: 3, Key: 9})
+	if rep := rc.recv(); core.DecodeUint64(rep.Value) != 5 {
+		t.Fatalf("counter = %d, want 5 (executed once)", core.DecodeUint64(rep.Value))
+	}
+	if got := srv.Stats().WindowDrops.Load(); got != 1 {
+		t.Fatalf("WindowDrops = %d after the window advanced, want 1", got)
 	}
 }

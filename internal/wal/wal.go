@@ -153,13 +153,19 @@ type Log struct {
 	failErr atomic.Pointer[error]
 
 	kick     chan struct{}
-	syncCh   chan chan error
+	syncKick chan struct{} // a Sync waits: write and fsync now
 	rotateCh chan chan rotateReply
 	closeCh  chan struct{}
 	done     chan struct{}
 
 	closed  atomic.Bool
 	crashed atomic.Bool
+
+	// Sync callers wait on synced for the flusher's watermark. The flusher
+	// broadcasts after every fsync, a failure and its exit (flusherDone).
+	syncMu      sync.Mutex
+	synced      *sync.Cond
+	flusherDone bool
 
 	snapMu sync.Mutex // serializes Snapshot
 }
@@ -321,11 +327,12 @@ func Open(opt Options, apply func(*Record)) (*Log, OpenResult, error) {
 		opt:      opt,
 		inc:      res.Incarnation,
 		kick:     make(chan struct{}, 1),
-		syncCh:   make(chan chan error),
+		syncKick: make(chan struct{}, 1),
 		rotateCh: make(chan chan rotateReply),
 		closeCh:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	l.synced = sync.NewCond(&l.syncMu)
 
 	f, err := os.OpenFile(filepath.Join(opt.Dir, segName(nextSeg)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -386,21 +393,36 @@ func (l *Log) Append(r Record) {
 // Sync makes every record appended so far durable (flushed and
 // fsynced) before returning. When nothing new was appended since the
 // last fsync it returns immediately without a syscall, so calling it
-// once per worker-loop iteration is cheap on idle workers.
+// once per worker-loop iteration is cheap on idle workers. Otherwise it
+// wakes the flusher and waits for its durability watermark to pass the
+// records appended so far; concurrent callers share the flusher's fsync.
 func (l *Log) Sync() error {
-	if l.syncedSeq.Load() >= l.appendSeq.Load() {
+	target := l.appendSeq.Load()
+	if l.syncedSeq.Load() >= target {
 		return nil
 	}
 	if l.closed.Load() {
 		return errors.New("wal: closed")
 	}
-	reply := make(chan error, 1)
+	// The flusher loads appendSeq after taking this kick (or a kick still
+	// queued, which it takes after target was loaded), so the fsync it
+	// answers with covers target unless the log failed.
 	select {
-	case l.syncCh <- reply:
-		return <-reply
-	case <-l.done:
-		return errors.New("wal: closed")
+	case l.syncKick <- struct{}{}:
+	default:
 	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	for l.syncedSeq.Load() < target {
+		if err := l.Err(); err != nil {
+			return err
+		}
+		if l.flusherDone {
+			return errors.New("wal: closed")
+		}
+		l.synced.Wait()
+	}
+	return nil
 }
 
 // SyncCritical makes every consensus-critical record appended so far
@@ -572,6 +594,7 @@ func (l *Log) flusher(seg *os.File, segIndex uint64) {
 		}
 		writeErr = err
 		l.failErr.Store(&err)
+		l.wakeSyncers(false)
 	}
 	interval := l.opt.FsyncInterval
 	syncMode := interval < 0
@@ -606,10 +629,13 @@ func (l *Log) flusher(seg *os.File, segIndex uint64) {
 		// here has already placed its bytes in the buffer (Append orders
 		// the two that way), so flushedTo never overcounts. Records that
 		// land between the load and the swap are written but undercounted
-		// — Sync then just fsyncs once more than strictly needed.
+		// until the next pass. An empty buffer means every counted record
+		// was written by an earlier pass, so this pass counts them: a Sync
+		// waiting on the watermark must not wait for more appends.
 		seq := l.appendSeq.Load()
 		b := swapBuf()
 		if len(b) == 0 {
+			flushedTo = seq
 			return
 		}
 		if _, err := seg.Write(b); err != nil {
@@ -637,6 +663,7 @@ func (l *Log) flusher(seg *os.File, segIndex uint64) {
 		}
 		if writeErr == nil {
 			l.syncedSeq.Store(flushedTo)
+			l.wakeSyncers(false)
 		}
 		return writeErr
 	}
@@ -669,9 +696,11 @@ func (l *Log) flusher(seg *os.File, segIndex uint64) {
 				// Failures are recorded by fail() inside rotate.
 				_ = rotate()
 			}
-		case reply := <-l.syncCh:
+		case <-l.syncKick:
 			writePending()
-			reply <- fsync()
+			// Failures are recorded by fail() inside and reach the
+			// waiters through Err.
+			_ = fsync()
 		case reply := <-l.rotateCh:
 			writePending()
 			err := rotate()
@@ -690,9 +719,21 @@ func (l *Log) flusher(seg *os.File, segIndex uint64) {
 				fsync()
 			}
 			seg.Close()
+			l.wakeSyncers(true)
 			return
 		}
 	}
+}
+
+// wakeSyncers wakes every Sync waiting on the watermark; exiting marks the
+// flusher gone, so waiters the watermark no longer covers give up.
+func (l *Log) wakeSyncers(exiting bool) {
+	l.syncMu.Lock()
+	if exiting {
+		l.flusherDone = true
+	}
+	l.synced.Broadcast()
+	l.syncMu.Unlock()
 }
 
 // truncateSync truncates path to size and fsyncs the result — the boot

@@ -151,6 +151,59 @@ func TestSyncMakesAppendsDurable(t *testing.T) {
 	l.Close()
 }
 
+// TestZeroAllocSync pins Append+Sync at zero allocations, counted over
+// every goroutine of the process, the flusher's included: Sync waits on
+// the flusher's watermark instead of handing it a reply channel per call.
+func TestZeroAllocSync(t *testing.T) {
+	_, _, l := collectReplay(t, t.TempDir(), Options{Incarnation: 1, FsyncInterval: -1})
+	defer l.Close()
+	rec := Record{Kind: KindWrite, Key: 1, Stamp: 1, Value: []byte("value")}
+	step := func() {
+		l.Append(rec)
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grow the group-commit buffers once
+	step()
+	if got := testing.AllocsPerRun(200, step); got != 0 {
+		t.Fatalf("Append+Sync allocates %.2f/op, want 0", got)
+	}
+}
+
+// TestSyncCountsUndercountedRecords: a flusher pass can write a record
+// whose Append has placed its bytes but not yet counted it, so the pass
+// leaves it out of the watermark. A later Sync finds nothing left to write
+// and must still see the record counted, or it waits for appends that may
+// never come.
+func TestSyncCountsUndercountedRecords(t *testing.T) {
+	_, _, l := collectReplay(t, t.TempDir(), Options{Incarnation: 1, FsyncInterval: -1})
+	defer l.Close()
+	// Append's two steps, with a flusher pass between them: the pass writes
+	// the record while it is still uncounted.
+	rec := Record{Kind: KindWrite, Key: 1, Stamp: 1, Inc: l.inc}
+	l.mu.Lock()
+	l.buf = rec.appendFrame(l.buf)
+	l.mu.Unlock()
+	reply := make(chan rotateReply, 1)
+	l.rotateCh <- reply
+	if r := <-reply; r.err != nil {
+		t.Fatal(r.err)
+	}
+	l.appendSeq.Add(1)
+
+	done := make(chan error, 1)
+	go func() { done <- l.Sync() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Sync waits for a record the flusher already wrote")
+	}
+}
+
 // TestEmptyFlushKeepsRecycledBuffer: the flusher recycles each written
 // batch's buffer for the next one. A flush that finds nothing to write
 // must keep that buffer, or the next batch regrows from nothing.
@@ -163,13 +216,14 @@ func TestEmptyFlushKeepsRecycledBuffer(t *testing.T) {
 			l.Append(rec)
 		}
 	}
-	// flush is a Sync request straight to the flusher, past Sync's
-	// nothing-to-do shortcut.
+	// flush is a rotation request straight to the flusher, which writes
+	// the pending batch first even when there is nothing to write — past
+	// Sync's nothing-to-do shortcut — and answers once it is done.
 	flush := func() {
-		reply := make(chan error, 1)
-		l.syncCh <- reply
-		if err := <-reply; err != nil {
-			t.Fatal(err)
+		reply := make(chan rotateReply, 1)
+		l.rotateCh <- reply
+		if r := <-reply; r.err != nil {
+			t.Fatal(r.err)
 		}
 	}
 	// Two written batches put both buffers in rotation; then a flush
